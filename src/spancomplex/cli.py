@@ -23,6 +23,7 @@ from .errors import (
 from .fvector import DEFAULT_BUDGET, require_budget
 from .homology import betti_from_faces, boundary_matrix, euler_from_betti, graded_faces
 from .ideal import facet_ideal, minimal_vertex_covers_generic, primary_decomposition
+from .kernels import MAX_EDGES
 from .multigraph import Multigraph, load_graph_file
 from .randomgraphs import random_suite
 from .spanning import enumerate_spanning_trees_generic
@@ -155,6 +156,17 @@ def cmd_random_suite(args) -> int:
     return 1 if failures else 0
 
 
+def _budget(text: str) -> int:
+    """A --budget value: forest enumeration handles 1..MAX_EDGES edges."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_EDGES:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_EDGES}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spancomplex",
@@ -169,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_budget,
             default=DEFAULT_BUDGET,
-            help=f"max edges for enumeration stages (default {DEFAULT_BUDGET})",
+            help=f"max edges for enumeration stages, 1..{MAX_EDGES} "
+            f"(default {DEFAULT_BUDGET})",
         )
 
     p = sub.add_parser("analyze", help="full report for one graph")

@@ -1,17 +1,23 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-The hot loops of this package are forest enumeration and exact integer
-matrix rank.  ``_corex`` is their Cython build; ``pyref`` the pure
-reference.  Selection happens once at import; ``SPANCOMPLEX_PURE=1`` in
-the environment forces the pure path.  The compiled rank kernel works in
+The kernels are forest enumeration and exact integer matrix rank.
+``_corex`` is their Cython build; ``pyref`` the pure reference.
+Selection happens once at import; ``SPANCOMPLEX_PURE=1`` in the
+environment forces the pure path.  The compiled rank kernel works in
 guarded 64-bit arithmetic and transparently falls back to the
 arbitrary-precision reference for any single matrix that trips the guard.
+
+``matrix_rank`` is not on the ``analyze``/``homology`` path: Betti
+numbers come from the sparse column reduction in ``homology``.  It ranks
+dense matrices for ``homology.matrix_rank_exact``, the reference the
+tests compare that reduction against.
 """
 
 import os
 
 from ..errors import KernelOverflowError
 from . import pyref
+from .pyref import MAX_EDGES
 
 if os.environ.get("SPANCOMPLEX_PURE"):
     _corex = None

@@ -9,6 +9,10 @@ its 64-bit magnitude guard.
 
 from math import gcd
 
+# Widest edge list forest_masks accepts.  The compiled kernel keeps each
+# mask in one 64-bit word and enforces the same limit.
+MAX_EDGES = 62
+
 
 def forest_masks(n_edges, us, vs, n_vertices):
     """Bitmasks of every non-empty acyclic edge subset (forest).
@@ -16,8 +20,8 @@ def forest_masks(n_edges, us, vs, n_vertices):
     Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  The result is
     sorted ascending, which both backends guarantee.
     """
-    if n_edges >= 63:
-        raise ValueError("forest enumeration supports at most 62 edges")
+    if n_edges > MAX_EDGES:
+        raise ValueError(f"forest enumeration supports at most {MAX_EDGES} edges")
     parent = list(range(n_vertices))
 
     def find(x):

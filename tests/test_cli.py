@@ -197,3 +197,31 @@ def test_analyze_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", FIG1, "--json")
     _, out2, _ = run_cli(capsys, "analyze", FIG1, "--json")
     assert out1 == out2
+
+
+def _cycle_file(tmp_path, n):
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [{"id": f"e{i}", "ends": [vertices[i], vertices[(i + 1) % n]]} for i in range(n)]
+    path = tmp_path / f"cycle{n}.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "homology"])
+@pytest.mark.parametrize("budget", ["0", "-5", "100"])
+def test_budget_out_of_range_is_input_error(capsys, tmp_path, command, budget):
+    path = _cycle_file(tmp_path, 64)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --budget: must be between 1 and 62, got {budget}"
+    )
+
+
+def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64), "--budget", "62")
+    assert code == 3
+    assert "budget" in err

@@ -171,6 +171,55 @@ def test_betti_sanity_and_euler_poincare(suite_graphs):
         assert euler_from_betti(profile) == euler_characteristic(fv)
 
 
+def test_sparse_ranks_match_dense(fig1, triangle, c211, theta, suite_graphs):
+    # theta has two independent cycles, so clearing is checked outside the
+    # uni-cyclic class as well
+    for g in [fig1, triangle, c211, theta] + list(suite_graphs[:40]):
+        faces = graded_faces(g)
+        profile = betti_from_faces(faces)
+        assert profile.boundary_ranks[0] == 0
+        for i in range(1, faces.dim + 1):
+            assert profile.boundary_ranks[i] == matrix_rank_exact(boundary_matrix(faces, i))
+
+
+def _doubled_six_cycle(extra):
+    """A 6-cycle whose classes all have two parallel edges, plus ``extra``
+    edges given as (id, vertex on the cycle, class size)."""
+    vertices = [f"v{i}" for i in range(6)]
+    edges = [
+        (f"c{i}{k}", (f"v{i}", f"v{(i + 1) % 6}")) for i in range(6) for k in range(2)
+    ]
+    for name, at, size in extra:
+        vertices.append(name)
+        edges += [(f"{name}{k}", (f"v{at}", name)) for k in range(size)]
+    return build_multigraph(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "extra,n_faces,top_betti",
+    [
+        # six pendant edges: every facet holds them, so the complex is a cone
+        ([(f"p{i}", i, 1) for i in range(6)], 42559, 0),
+        # three outside classes of two parallel edges
+        ([(f"q{i}", 2 * i, 2) for i in range(3)], 17954, 63),
+    ],
+)
+def test_betti_beyond_dense_reach(extra, n_faces, top_betti):
+    # 18 edges: the dense boundary matrices would have up to 93M cells
+    g = _doubled_six_cycle(extra)
+    assert g.n_edges == 18
+    fv = f_vector_bruteforce(g)
+    assert sum(fv.counts) == n_faces
+    assert abs(euler_characteristic(fv) - 1) == top_betti
+    profile = betti_from_faces(graded_faces(g))
+    d = fv.dim
+    expected = (1,) + (0,) * (d - 1) + (top_betti,)
+    assert profile.ranks == expected
+    ranks = profile.boundary_ranks + (0,)
+    for i in range(d + 1):
+        assert ranks[i] + ranks[i + 1] == fv.counts[i] - expected[i]
+
+
 def test_coordinate_triples(fig1):
     faces = graded_faces(fig1)
     bm = boundary_matrix(faces, 1)
