@@ -19,7 +19,6 @@ from .fvector import (
     closed_form_tail,
     dimension,
     euler_characteristic,
-    f_vector_bruteforce,
     f_vector_closed_form,
     require_budget,
 )
@@ -36,7 +35,6 @@ from .multigraph import Multigraph, UnicyclicLayout, recognize_unicyclic
 from .spanning import (
     Facet,
     count_spanning_trees_layout,
-    enumerate_spanning_trees_generic,
     enumerate_spanning_trees_layout,
 )
 
@@ -245,9 +243,12 @@ def run_analyze(
 ) -> AnalysisReport:
     """Run every applicable route and cross-check them.
 
-    Raises ``BudgetExceededError`` when the oracle routes are enabled and
-    the graph exceeds the enumeration budget.
+    When the oracle routes are enabled, first checks the budget: raises
+    ``ValueError`` for a budget outside 1..``kernels.MAX_EDGES`` and
+    ``BudgetExceededError`` when the graph exceeds it.
     """
+    if not no_oracle:
+        require_budget(g.n_edges, budget, "spanning tree enumeration")
     report = AnalysisReport(
         path=path,
         fingerprint=g.fingerprint(),
@@ -273,13 +274,13 @@ def run_analyze(
         report.covers_closed_form = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
-        require_budget(g.n_edges, budget, "spanning tree enumeration")
-        report.facets_generic = enumerate_spanning_trees_generic(g)
-        report.f_bruteforce = f_vector_bruteforce(g, budget=budget)
-        report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         edge_order = layout.edge_order() if layout is not None else None
         faces = graded_faces(g, budget=budget, edge_order=edge_order)
+        # g is connected, so its largest forests are its spanning trees
+        report.facets_generic = sorted(Facet.of(f) for f in faces.grades[-1])
         report.grade_sizes = faces.sizes()
+        report.f_bruteforce = FVector(report.grade_sizes)
+        report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         report.betti = betti_from_faces(faces)
         report.euler_betti = euler_from_betti(report.betti)
         report.covers_generic = minimal_vertex_covers_generic(report.facets_generic)

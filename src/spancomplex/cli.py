@@ -227,8 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()  # once per process: building it costs more than parsing
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -51,10 +51,3 @@ class BudgetExceededError(SpanComplexError):
             f"budget of {budget}"
         )
 
-
-class KernelOverflowError(SpanComplexError):
-    """Internal: the fixed-width compiled kernel hit its magnitude guard.
-
-    Callers retry with the arbitrary-precision pure Python kernel; user code
-    should never see this exception.
-    """

@@ -51,6 +51,13 @@ def dimension(layout: UnicyclicLayout) -> int:
 
 
 def require_budget(n_edges: int, budget: int, stage: str) -> None:
+    """Raise ``BudgetExceededError`` when ``n_edges`` exceeds ``budget``.
+
+    A budget outside 1..``kernels.MAX_EDGES`` is a ``ValueError``: forest
+    enumeration cannot honour it.
+    """
+    if not 1 <= budget <= kernels.MAX_EDGES:
+        raise ValueError(f"budget must be between 1 and {kernels.MAX_EDGES}, got {budget}")
     if n_edges > budget:
         raise BudgetExceededError(stage, n_edges, budget)
 

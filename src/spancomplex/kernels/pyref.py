@@ -1,16 +1,13 @@
-"""Pure Python reference kernels.
+"""Pure Python kernels, in arbitrary-precision arithmetic.
 
-These are the semantic ground truth for the compiled extension in
-``_corex.pyx``; both implementations must return identical results on
-identical inputs.  Arithmetic here is arbitrary precision, so this path
-never overflows and serves as the fallback when the compiled kernel hits
-its 64-bit magnitude guard.
+``forest_masks`` keeps each forest as one int bitmask over the edge
+indices; ``matrix_rank`` never overflows, whatever the entries.
 """
 
 from math import gcd
 
-# Widest edge list forest_masks accepts.  The compiled kernel keeps each
-# mask in one 64-bit word and enforces the same limit.
+# Widest edge list forest_masks accepts, and so the largest enumeration
+# budget; no enumeration of 2**62 subsets would finish anyway.
 MAX_EDGES = 62
 
 
@@ -18,35 +15,37 @@ def forest_masks(n_edges, us, vs, n_vertices):
     """Bitmasks of every non-empty acyclic edge subset (forest).
 
     Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  The result is
-    sorted ascending, which both backends guarantee.
+    sorted ascending.
     """
     if n_edges > MAX_EDGES:
         raise ValueError(f"forest enumeration supports at most {MAX_EDGES} edges")
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     out = []
-
-    def extend(idx, mask):
-        # union-find with rollback: no path compression, so a single
-        # parent write per union is enough to undo it
-        for i in range(idx, n_edges):
-            ru, rv = find(us[i]), find(vs[i])
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            m = mask | (1 << i)
-            out.append(m)
-            extend(i + 1, m)
-            parent[ru] = ru
-
-    extend(0, 0)
+    _extend(0, 0, n_edges, us, vs, list(range(n_vertices)), out)
     out.sort()
     return out
+
+
+def _extend(idx, mask, n_edges, us, vs, parent, out):
+    """Append every forest that adds edges >= idx to ``mask``.
+
+    Union-find with rollback: no path compression, so a single parent
+    write per union is enough to undo it.  A module-level function, not
+    a closure, so no reference cycle keeps ``out`` alive after the call.
+    """
+    for i in range(idx, n_edges):
+        ru = us[i]
+        while parent[ru] != ru:
+            ru = parent[ru]
+        rv = vs[i]
+        while parent[rv] != rv:
+            rv = parent[rv]
+        if ru == rv:
+            continue
+        parent[ru] = rv
+        m = mask | (1 << i)
+        out.append(m)
+        _extend(i + 1, m, n_edges, us, vs, parent, out)
+        parent[ru] = ru
 
 
 def matrix_rank(rows):

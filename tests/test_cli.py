@@ -225,3 +225,22 @@ def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64), "--budget", "62")
     assert code == 3
     assert "budget" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    from spancomplex import cli
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    first = run_cli(capsys, "analyze", FIG1, "--json")
+    second = run_cli(capsys, "analyze", FIG1, "--json")
+    assert run_cli(capsys, "verify", TRIANGLE) == (0, "verify: PASS\n", "")
+    assert first == second
+    assert len(builds) == 1
