@@ -2,8 +2,9 @@
 
 Subcommands: ``analyze``, ``verify``, ``facets``, ``covers``,
 ``homology`` and ``random-suite``.  Exit codes: 0 success, 1 discrepancy
-found, 2 input error, 3 enumeration budget exceeded.  All output is
-deterministic for identical inputs and flags.
+found, 2 input error, 3 enumeration budget exceeded, 4 internal error
+(one JSON line on stderr, no traceback).  All output is deterministic
+for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -194,19 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="closed forms only; skip enumeration oracles (for large n)",
     )
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="cross-check closed forms against oracles")
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("facets", help="spanning tree list")
     add_common(p)
-    p.set_defaults(func=cmd_facets)
 
     p = sub.add_parser("covers", help="minimal vertex covers and facet ideal")
     add_common(p)
-    p.set_defaults(func=cmd_covers)
 
     p = sub.add_parser("homology", help="boundary ranks and Betti numbers")
     add_common(p)
@@ -215,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write each boundary matrix as 'row col value' triples",
     )
-    p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("random-suite", help="verify a seeded random graph family")
     add_common(p, with_path=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--max-edges", type=int, default=12)
-    p.set_defaults(func=cmd_random_suite)
 
     return parser
 
@@ -235,14 +230,20 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()  # once per process: building it costs more than parsing
     args = _parser.parse_args(argv)
+    # looked up at call time, so a replaced module attribute is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (SchemaError, GraphValidationError, NotUnicyclicError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug, not a discrepancy: exit 1 stays reserved for those
+        record = {"error": "internal", "type": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(record, ensure_ascii=False) + "\n")
+        return 4
 
 
 if __name__ == "__main__":

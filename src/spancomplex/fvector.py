@@ -5,7 +5,10 @@ subset extends to a spanning tree exactly when it is a forest.  The
 f-vector (f_0, ..., f_d) counts faces per dimension; f_i is the number
 of forests with i+1 edges.  Two routes compute it: brute-force forest
 enumeration, and a closed form over the uni-cyclic layout built from
-binomial sums with inclusion-exclusion over the multiple classes.
+binomial sums with inclusion-exclusion over the multiple classes.  The
+closed form's double sums are evaluated in swapped order (the inner
+weights do not depend on the dimension), so all terms come from one
+pass per layout instead of one full evaluation per dimension.
 """
 
 from __future__ import annotations
@@ -89,55 +92,69 @@ def _elementary_symmetric(values) -> list[int]:
     return coeffs
 
 
-def f_closed_form_term(layout: UnicyclicLayout, i: int) -> int:
-    """Closed-form face count in dimension i.
+def _lift(weights: list[int], top: int) -> list[int]:
+    """Coefficients c_l = sum_{j=2}^{l} w_j (-1)^(l-j) C(top-j, l-j), l = 0..top.
 
-    Starts from C(n, i+1) and subtracts, by inclusion-exclusion over the
-    multiple classes, the subsets that contain the cycle or at least two
-    copies from one parallel class.  Empty sums are 0, empty products 1,
-    and out-of-range binomials vanish, so degenerate layouts collapse
-    correctly.
+    ``weights[j]`` is w_j.  This is the inner sum of one inclusion-exclusion
+    block with the j and l sums swapped; it does not depend on i.
+    """
+    coeffs = [0] * (top + 1)
+    for j in range(2, top + 1):
+        sign = weights[j]
+        for l in range(j, top + 1):
+            coeffs[l] += sign * binomial(top - j, l - j)
+            sign = -sign
+    return coeffs
+
+
+def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
+    """Closed-form face counts for every i = 0..n-1, in one pass.
+
+    Each term starts from C(n, i+1) and subtracts, by inclusion-exclusion
+    over the multiple classes, the subsets that contain the cycle or at
+    least two copies from one parallel class.  The paper writes each
+    block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
+    here the two sums are swapped, so the weights w_j and their lift to
+    coefficients c_l (``_lift``) are computed once per layout and every
+    term costs one pass over l.  This is the same finite sum reordered,
+    with no binomial identity applied.  Empty sums are 0, empty products
+    1, and out-of-range binomials vanish, so degenerate layouts collapse
+    correctly.  Terms beyond the dimension must all be 0.
     """
     n, m = layout.n, layout.m
-    rp = layout.r_prime
     alpha, beta = layout.alpha, layout.beta
+    ab = alpha + beta
 
     cyc_sizes = [c.size for c in layout.multiple_cycle_classes]
     out_sizes = [c.size for c in layout.outside_multiple_classes]
     e_out = _elementary_symmetric(out_sizes)
     e_all = _elementary_symmetric(cyc_sizes + out_sizes)
+    e_out += [0] * (beta + 1 - len(e_out))
+    e_all += [0] * (ab + 1 - len(e_all))
+    cycle_choices = math.prod(cyc_sizes)
 
-    total = binomial(n, i + 1)
-
-    # subsets containing the full cycle but no doubled class
-    bracket = binomial(n - alpha + rp - m, i + 1 - m)
-    for j in range(2, beta + 1):
-        weight = binomial(beta, j) - (e_out[j] if j < len(e_out) else 0)
-        inner = sum(
-            (-1) ** (l - j)
-            * binomial(beta - j, l - j)
-            * binomial(n - alpha + rp - m - l, i + 1 - m - l)
-            for l in range(j, beta + 1)
-        )
-        bracket -= weight * inner
-    total -= math.prod(cyc_sizes) * bracket
-
+    # subsets containing the full cycle but no doubled class: N0 edges remain
+    n0 = n - alpha + layout.r_prime - m
+    c_out = _lift([binomial(beta, j) - e_out[j] for j in range(beta + 1)], beta)
     # subsets containing at least two copies from some class
-    ab = alpha + beta
-    for j in range(2, ab + 1):
-        weight = binomial(ab, j) - (e_all[j] if j < len(e_all) else 0)
-        inner = sum(
-            (-1) ** (l - j) * binomial(ab - j, l - j) * binomial(n - l, i + 1 - l)
-            for l in range(j, ab + 1)
+    c_all = _lift([binomial(ab, j) - e_all[j] for j in range(ab + 1)], ab)
+
+    terms = []
+    for i in range(n):
+        k = i + 1 - m
+        bracket = binomial(n0, k) - sum(
+            c_out[l] * binomial(n0 - l, k - l) for l in range(2, min(beta, k) + 1)
         )
-        total -= weight * inner
-    return total
+        doubled = sum(
+            c_all[l] * binomial(n - l, i + 1 - l) for l in range(2, min(ab, i + 1) + 1)
+        )
+        terms.append(binomial(n, i + 1) - cycle_choices * bracket - doubled)
+    return terms
 
 
 def f_vector_closed_form(layout: UnicyclicLayout) -> FVector:
-    """Closed-form f-vector, evaluated for i = 0..dim."""
-    d = dimension(layout)
-    return FVector(tuple(f_closed_form_term(layout, i) for i in range(d + 1)))
+    """Closed-form f-vector: the terms for i = 0..dim."""
+    return FVector(tuple(closed_form_terms(layout)[: dimension(layout) + 1]))
 
 
 def closed_form_tail(layout: UnicyclicLayout) -> list[int]:
@@ -145,8 +162,7 @@ def closed_form_tail(layout: UnicyclicLayout) -> list[int]:
 
     All must vanish; the verification harness flags any nonzero value.
     """
-    d = dimension(layout)
-    return [f_closed_form_term(layout, i) for i in range(d + 1, layout.n)]
+    return closed_form_terms(layout)[dimension(layout) + 1 :]
 
 
 def euler_characteristic(f: FVector) -> int:

@@ -244,3 +244,38 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert run_cli(capsys, "verify", TRIANGLE) == (0, "verify: PASS\n", "")
     assert first == second
     assert len(builds) == 1
+
+
+def test_dispatch_honours_replaced_command(capsys, monkeypatch):
+    from spancomplex import cli
+
+    assert run_cli(capsys, "verify", TRIANGLE)[0] == 0  # the parser is built by now
+    calls = []
+
+    def patched(args):
+        calls.append(args.path)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_analyze", patched)
+    assert run_cli(capsys, "analyze", FIG1, "--json") == (0, "", "")
+    assert calls == [FIG1]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from spancomplex import analysis
+
+    def broken(layout):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(analysis, "f_vector_closed_form", broken)
+    code, out, err = run_cli(capsys, "analyze", FIG1, "--json")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "internal",
+        "type": "RuntimeError",
+        "message": "stage broke",
+    }
+    assert run_cli(capsys, "verify", FIG1)[0] == 4

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancomplex import (
     BudgetExceededError,
@@ -11,7 +15,12 @@ from spancomplex import (
     f_vector_closed_form,
     recognize_unicyclic,
 )
-from spancomplex.fvector import FVector, closed_form_tail, f_closed_form_term
+from spancomplex.fvector import (
+    FVector,
+    _elementary_symmetric,
+    closed_form_tail,
+    closed_form_terms,
+)
 
 import bruteforce
 
@@ -103,7 +112,8 @@ def test_structural_identities(suite_graphs):
 
 def test_closed_form_term_beyond_dim_is_tail(fig1):
     lay = recognize_unicyclic(fig1)
-    assert [f_closed_form_term(lay, i) for i in range(3, 7)] == [0, 0, 0, 0]
+    assert closed_form_tail(lay) == [0, 0, 0, 0]
+    assert closed_form_terms(lay)[3:7] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -123,3 +133,145 @@ def test_bruteforce_works_on_non_unicyclic(theta):
 def test_bruteforce_on_tree():
     g = build_multigraph(["a", "b", "c"], [("e1", ("a", "b")), ("e2", ("b", "c"))])
     assert f_vector_bruteforce(g).counts == (2, 1)
+
+
+def _paper_term_literal(layout, i):
+    """The paper's closed-form term in dimension i, summed in its own order.
+
+    Reference for ``closed_form_terms``, which evaluates the same double
+    sums with j and l swapped.
+    """
+    n, m = layout.n, layout.m
+    rp = layout.r_prime
+    alpha, beta = layout.alpha, layout.beta
+
+    cyc_sizes = [c.size for c in layout.multiple_cycle_classes]
+    out_sizes = [c.size for c in layout.outside_multiple_classes]
+    e_out = _elementary_symmetric(out_sizes)
+    e_all = _elementary_symmetric(cyc_sizes + out_sizes)
+
+    total = binomial(n, i + 1)
+
+    bracket = binomial(n - alpha + rp - m, i + 1 - m)
+    for j in range(2, beta + 1):
+        weight = binomial(beta, j) - (e_out[j] if j < len(e_out) else 0)
+        inner = sum(
+            (-1) ** (l - j)
+            * binomial(beta - j, l - j)
+            * binomial(n - alpha + rp - m - l, i + 1 - m - l)
+            for l in range(j, beta + 1)
+        )
+        bracket -= weight * inner
+    total -= math.prod(cyc_sizes) * bracket
+
+    ab = alpha + beta
+    for j in range(2, ab + 1):
+        weight = binomial(ab, j) - (e_all[j] if j < len(e_all) else 0)
+        inner = sum(
+            (-1) ** (l - j) * binomial(ab - j, l - j) * binomial(n - l, i + 1 - l)
+            for l in range(j, ab + 1)
+        )
+        total -= weight * inner
+    return total
+
+
+def layout_graph(cycle_sizes, outside_sizes=(), pendants=0):
+    """A uni-cyclic multigraph with the given cycle and outside class sizes.
+
+    Outside classes and pendant edges hang off a path of fresh leaves
+    from the first cycle vertex, so every one is a bridge.
+    """
+    m = len(cycle_sizes)
+    vertices = [f"v{i}" for i in range(m)]
+    edges = [
+        (f"c{i}_{k}", (vertices[i], vertices[(i + 1) % m]))
+        for i, size in enumerate(cycle_sizes)
+        for k in range(size)
+    ]
+    tip = vertices[0]
+    for j, size in enumerate(list(outside_sizes) + [1] * pendants):
+        leaf = f"w{j}"
+        vertices.append(leaf)
+        edges.extend((f"b{j}_{k}", (tip, leaf)) for k in range(size))
+        tip = leaf
+    return build_multigraph(vertices, edges)
+
+
+def face_polynomial(cycle_sizes, outside_sizes=(), pendants=0):
+    """Coefficients of prod_classes(1 + s t) - (prod_cycle s) t^m prod_outside(1 + s t).
+
+    The independence complex of the cycle matroid factors over its
+    classes; the subtracted part counts the subsets that hold the cycle.
+    """
+    def product(sizes):
+        coeffs = [1]
+        for s in sizes:
+            coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        return coeffs
+
+    outside = list(outside_sizes) + [1] * pendants
+    every = product(list(cycle_sizes) + outside)
+    holding = product(outside)
+    m = len(cycle_sizes)
+    for k, e in enumerate(holding):
+        every[m + k] -= math.prod(cycle_sizes) * e
+    return every
+
+
+def test_swapped_sums_equal_paper_order_on_suite(suite_graphs):
+    for g in suite_graphs[:80]:
+        lay = recognize_unicyclic(g)
+        assert closed_form_terms(lay) == [_paper_term_literal(lay, i) for i in range(lay.n)]
+
+
+@pytest.mark.parametrize(
+    "cycle_sizes,outside_sizes,pendants",
+    [
+        ([3] * 20, (), 0),
+        ([3, 2, 1, 1, 4], (2, 3, 4, 5, 2, 3, 4, 2, 3, 5, 4), 12),
+    ],
+    ids=["fat-cycle-60", "outside-classes-60"],
+)
+def test_swapped_sums_equal_paper_order_at_n60(cycle_sizes, outside_sizes, pendants):
+    lay = recognize_unicyclic(layout_graph(cycle_sizes, outside_sizes, pendants))
+    assert lay.n == 60
+    assert closed_form_terms(lay) == [_paper_term_literal(lay, i) for i in range(lay.n)]
+
+
+@pytest.mark.parametrize(
+    "cycle_sizes,outside_sizes,pendants",
+    [
+        ([3] * 50, (), 0),
+        ([2, 5, 1, 3, 1, 4, 2, 1], (3, 2, 4, 5, 2, 3, 2, 4, 3, 5, 2, 6), 42),
+        ([1] * 30 + [4] * 10, (5, 5, 4, 3, 2, 2, 3), 12),
+        ([2] * 12 + [1] * 3, (2,) * 25, 30),
+    ],
+    ids=["fat-cycle-150", "mixed-102", "mixed-106", "mixed-107"],
+)
+def test_closed_form_equals_face_polynomial_beyond_budget(cycle_sizes, outside_sizes, pendants):
+    lay = recognize_unicyclic(layout_graph(cycle_sizes, outside_sizes, pendants))
+    assert lay.n >= 100
+    poly = face_polynomial(cycle_sizes, outside_sizes, pendants)
+    d = dimension(lay)
+    assert f_vector_closed_form(lay).counts == tuple(poly[1 : d + 2])
+    assert not any(poly[d + 2 :])
+    tail = closed_form_tail(lay)
+    assert len(tail) == lay.n - d - 1
+    assert not any(tail)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    cycle_sizes=st.lists(st.integers(1, 5), min_size=3, max_size=8),
+    outside_sizes=st.lists(st.integers(2, 5), max_size=4),
+    pendants=st.integers(0, 4),
+)
+def test_closed_form_property(cycle_sizes, outside_sizes, pendants):
+    g = layout_graph(cycle_sizes, outside_sizes, pendants)
+    lay = recognize_unicyclic(g)
+    poly = face_polynomial(cycle_sizes, outside_sizes, pendants)
+    fv = f_vector_closed_form(lay)
+    assert fv.counts == tuple(poly[1 : fv.dim + 2])
+    assert not any(closed_form_tail(lay))
+    if lay.n <= 12:
+        assert fv.counts == f_vector_bruteforce(g).counts
