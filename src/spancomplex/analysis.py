@@ -16,10 +16,9 @@ from .errors import NotUnicyclicError
 from .fvector import (
     DEFAULT_BUDGET,
     FVector,
-    closed_form_tail,
+    closed_form_terms,
     dimension,
     euler_characteristic,
-    f_vector_closed_form,
     require_budget,
 )
 from .homology import BettiProfile, betti_from_faces, euler_from_betti, graded_faces
@@ -259,6 +258,7 @@ def run_analyze(
     )
 
     layout: UnicyclicLayout | None = None
+    tail: list[int] = []
     try:
         layout = recognize_unicyclic(g)
     except NotUnicyclicError as exc:
@@ -269,7 +269,10 @@ def run_analyze(
         report.dim = dimension(layout)
         report.count_closed_form = count_spanning_trees_layout(layout)
         report.facets_closed_form = enumerate_spanning_trees_layout(layout)
-        report.f_closed_form = f_vector_closed_form(layout)
+        # one closed-form pass: the f-vector, then the terms that must vanish
+        terms = closed_form_terms(layout)
+        report.f_closed_form = FVector(tuple(terms[: report.dim + 1]))
+        tail = terms[report.dim + 1 :]
         report.euler_closed_form = euler_characteristic(report.f_closed_form)
         report.covers_closed_form = minimal_vertex_covers_closed_form(layout)
 
@@ -295,7 +298,7 @@ def run_analyze(
             components=primary_decomposition(covers).components,
         )
 
-    report.discrepancies = _cross_checks(report, layout)
+    report.discrepancies = _cross_checks(report, tail)
     return report
 
 
@@ -304,7 +307,7 @@ def run_verify(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> list[Discrepan
     return run_analyze(g, budget=budget).discrepancies
 
 
-def _cross_checks(report: AnalysisReport, layout: UnicyclicLayout | None) -> list[Discrepancy]:
+def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
     out: list[Discrepancy] = []
     fp = report.fingerprint
 
@@ -329,10 +332,8 @@ def _cross_checks(report: AnalysisReport, layout: UnicyclicLayout | None) -> lis
                 [str(c) for c in report.f_bruteforce.counts],
                 [str(c) for c in report.f_closed_form.counts],
             )
-    if layout is not None:
-        tail = closed_form_tail(layout)
-        if any(tail):
-            fail("fvector:tail-zero", [0] * len(tail), tail)
+    if any(tail):
+        fail("fvector:tail-zero", [0] * len(tail), tail)
     if report.covers_closed_form is not None and report.covers_generic is not None:
         if report.covers_closed_form != report.covers_generic:
             fail(

@@ -158,7 +158,7 @@ def cmd_random_suite(args) -> int:
 
 
 def _budget(text: str) -> int:
-    """A --budget value: forest enumeration handles 1..MAX_EDGES edges."""
+    """A --budget value: the enumerations handle 1..MAX_EDGES edges."""
     try:
         value = int(text)
     except ValueError:

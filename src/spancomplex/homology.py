@@ -88,23 +88,34 @@ def canonical_edge_order(g: Multigraph) -> tuple[str, ...]:
 def graded_faces(
     g: Multigraph, budget: int = DEFAULT_BUDGET, edge_order: tuple[str, ...] | None = None
 ) -> GradedFaces:
-    """Enumerate all faces (forests), grouped and ordered by dimension."""
+    """Enumerate all faces (forests), grouped and ordered by dimension.
+
+    The edges are indexed in reverse global order, so bit b of a forest
+    mask is ``edge_order[n - 1 - b]``: reading the set bits from high to
+    low gives the face already sorted, and among faces of one size a
+    larger mask is an earlier face.  Walking the ascending masks
+    backwards thus yields every grade in order, with no sorting.
+    """
     require_budget(g.n_edges, budget, "graded face enumeration")
     if edge_order is None:
         edge_order = canonical_edge_order(g)
-    pos = {e: i for i, e in enumerate(edge_order)}
-    ids = g.edge_ids()
+    n = g.n_edges
+    index = {e: i for i, e in enumerate(g.edge_ids())}
     us, vs = edge_endpoint_indices(g)
+    perm = [index[e] for e in reversed(edge_order)]
+    us = [us[i] for i in perm]
+    vs = [vs[i] for i in perm]
 
-    by_card: dict[int, list[tuple[int, ...]]] = {}
-    for mask in kernels.forest_masks(g.n_edges, us, vs, g.n_vertices):
-        face = sorted(pos[ids[i]] for i in range(g.n_edges) if mask >> i & 1)
-        by_card.setdefault(len(face), []).append(tuple(face))
-    grades = []
-    for card in range(1, max(by_card) + 1):
-        faces = sorted(by_card.get(card, []))
-        grades.append(tuple(tuple(edge_order[i] for i in f) for f in faces))
-    return GradedFaces(edge_order=tuple(edge_order), grades=tuple(grades))
+    # g is connected, so its largest forests have |V| - 1 edges
+    grades: list[list[Face]] = [[] for _ in range(g.n_vertices - 1)]
+    for mask in reversed(kernels.forest_masks(n, us, vs, g.n_vertices)):
+        face = []
+        while mask:
+            top = mask.bit_length()
+            face.append(edge_order[n - top])
+            mask ^= 1 << (top - 1)
+        grades[len(face) - 1].append(tuple(face))
+    return GradedFaces(edge_order=tuple(edge_order), grades=tuple(map(tuple, grades)))
 
 
 def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:

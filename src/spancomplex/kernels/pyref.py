@@ -1,12 +1,13 @@
 """Pure Python kernels, in arbitrary-precision arithmetic.
 
-``forest_masks`` keeps each forest as one int bitmask over the edge
-indices; ``matrix_rank`` never overflows, whatever the entries.
+``forest_masks`` and ``spanning_tree_masks`` keep each edge subset as
+one int bitmask over the edge indices; ``matrix_rank`` never overflows,
+whatever the entries.
 """
 
 from math import gcd
 
-# Widest edge list forest_masks accepts, and so the largest enumeration
+# Widest edge list the enumerations accept, and so the largest enumeration
 # budget; no enumeration of 2**62 subsets would finish anyway.
 MAX_EDGES = 62
 
@@ -46,6 +47,74 @@ def _extend(idx, mask, n_edges, us, vs, parent, out):
         out.append(m)
         _extend(i + 1, m, n_edges, us, vs, parent, out)
         parent[ru] = ru
+
+
+def spanning_tree_masks(n_edges, us, vs, n_vertices):
+    """Bitmasks of every spanning tree, sorted ascending.
+
+    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  A disconnected
+    graph has none.  Only spanning trees are visited, not every forest
+    (Read & Tarjan, "Bounds on backtrack algorithms for listing cycles,
+    paths, and spanning trees", 1975).
+    """
+    if n_edges > MAX_EDGES:
+        raise ValueError(f"spanning tree enumeration supports at most {MAX_EDGES} edges")
+    parent = list(range(n_vertices))
+    comp = _suffix_components(parent, us, vs, 0, n_edges)
+    if len({_root(comp, x) for x in range(n_vertices)}) > 1:
+        return []
+    out = []
+    _grow(0, 0, n_vertices - 1, n_edges, us, vs, parent, out)
+    out.sort()
+    return out
+
+
+def _grow(i, mask, need, n_edges, us, vs, parent, out):
+    """Append every spanning tree that adds ``need`` edges >= i to ``mask``.
+
+    Invariant: ``mask`` is a forest, and ``mask`` plus the edges >= i
+    span the graph, so every call appends at least one tree.  Edge i is
+    taken only if it joins two components of ``mask`` (union-find with
+    rollback, as in ``_extend``), and left out only if it is not a bridge
+    of ``mask`` plus the edges after i.  A module-level function, not a
+    closure, so no reference cycle keeps ``out`` alive after the call.
+    """
+    if need == 0:
+        out.append(mask)
+        return
+    ru = us[i]
+    while parent[ru] != ru:
+        ru = parent[ru]
+    rv = vs[i]
+    while parent[rv] != rv:
+        rv = parent[rv]
+    if ru != rv:
+        parent[ru] = rv
+        _grow(i + 1, mask | (1 << i), need - 1, n_edges, us, vs, parent, out)
+        parent[ru] = ru
+        comp = _suffix_components(parent, us, vs, i + 1, n_edges)
+        if _root(comp, ru) != _root(comp, rv):
+            return  # edge i is a bridge of what is left: every tree here uses it
+    _grow(i + 1, mask, need, n_edges, us, vs, parent, out)
+
+
+def _suffix_components(parent, us, vs, start, n_edges):
+    """Union-find of the forest in ``parent`` plus the edges >= start."""
+    comp = parent[:]
+    for j in range(start, n_edges):
+        ru = _root(comp, us[j])
+        rv = _root(comp, vs[j])
+        if ru != rv:
+            comp[ru] = rv
+    return comp
+
+
+def _root(comp, x):
+    """Root of x in ``comp``, halving the path on the way (``comp`` is a copy)."""
+    while comp[x] != x:
+        comp[x] = comp[comp[x]]
+        x = comp[x]
+    return x
 
 
 def matrix_rank(rows):

@@ -2,8 +2,9 @@
 
 Two independent routes produce the facet set of the spanning simplicial
 complex: a closed form over the canonical uni-cyclic layout, and a
-generic backtracking enumeration over any connected multigraph.  Their
-agreement is a core verification invariant of this package.
+generic backtracking enumeration of the spanning trees of any connected
+multigraph, which uses no layout information.  Their agreement is a core
+verification invariant of this package.
 """
 
 from __future__ import annotations
@@ -53,19 +54,19 @@ def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[Facet]:
 
 
 def enumerate_spanning_trees_generic(g: Multigraph) -> list[Facet]:
-    """Oracle route: all acyclic edge subsets of size |V|-1.
+    """Oracle route: all spanning trees, by backtracking over the edges.
 
-    Backtracking over forests (union-find, pruning on cycle creation);
-    in a connected graph every such subset is a spanning tree.  Output is
-    sorted lexicographically.
+    Each edge is taken only if it closes no cycle and left out only if
+    the rest still connects the graph (``kernels.spanning_tree_masks``),
+    so no branch is a dead end and the work grows with the number of
+    trees, not of forests.  Output is sorted lexicographically.
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    want = g.n_vertices - 1
-    facets = []
-    for mask in kernels.forest_masks(g.n_edges, us, vs, g.n_vertices):
-        if mask.bit_count() == want:
-            facets.append(Facet.of(ids[i] for i in range(g.n_edges) if mask >> i & 1))
+    facets = [
+        Facet.of(ids[i] for i in range(g.n_edges) if mask >> i & 1)
+        for mask in kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+    ]
     facets.sort()
     return facets
 

@@ -267,7 +267,7 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(layout):
         raise RuntimeError("stage broke")
 
-    monkeypatch.setattr(analysis, "f_vector_closed_form", broken)
+    monkeypatch.setattr(analysis, "closed_form_terms", broken)
     code, out, err = run_cli(capsys, "analyze", FIG1, "--json")
     assert code == 4
     assert out == ""

@@ -28,6 +28,18 @@ def test_global_order_uses_canonical_labels(fig1):
     assert faces.edge_order == ("e11", "e12", "e13", "e21", "e31", "e41", "e42")
 
 
+def test_grades_hold_every_forest_in_global_order(fig1, triangle, c211, theta, suite_graphs):
+    # each face sorted by the global order, each grade sorted as positions
+    for g in [fig1, triangle, c211, theta] + suite_graphs[:40]:
+        faces = graded_faces(g)
+        assert faces.sizes() == bruteforce.forest_counts(g)
+        pos = {e: i for i, e in enumerate(faces.edge_order)}
+        for grade in faces.grades:
+            keys = [tuple(pos[e] for e in face) for face in grade]
+            assert all(list(key) == sorted(key) for key in keys)
+            assert keys == sorted(set(keys))
+
+
 def test_boundary_2_column_fig1(fig1):
     faces = graded_faces(fig1)
     bm = boundary_matrix(faces, 2)

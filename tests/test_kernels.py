@@ -5,8 +5,11 @@ import pytest
 
 from spancomplex import kernels
 from spancomplex.kernels import pyref
+from spancomplex.multigraph import edge_endpoint_indices
+from spancomplex.randomgraphs import random_suite
 
 import bruteforce
+from conftest import make_c211, make_fig1, make_theta, make_triangle
 
 
 def _random_matrix(rng, lo=-3, hi=3, max_dim=9):
@@ -37,6 +40,45 @@ def test_pyref_forest_masks_leaves_no_reference_cycle():
 def test_pyref_forest_masks_rejects_wide_input():
     with pytest.raises(ValueError):
         pyref.forest_masks(63, [0] * 63, [1] * 63, 2)
+
+
+def _tree_filter(n_edges, us, vs, n_vertices):
+    masks = pyref.forest_masks(n_edges, us, vs, n_vertices)
+    return [m for m in masks if m.bit_count() == n_vertices - 1]
+
+
+def test_spanning_tree_masks_equal_forest_filter():
+    graphs = [make_fig1(), make_triangle(), make_c211(), make_theta()]
+    for g in graphs + random_suite(42, 60, 12):
+        us, vs = edge_endpoint_indices(g)
+        masks = kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+        assert masks == _tree_filter(g.n_edges, us, vs, g.n_vertices)
+
+
+def test_spanning_tree_masks_small_cases():
+    # triangle: the three 2-edge subsets
+    assert pyref.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3) == [3, 5, 6]
+    # two parallel edges then a pendant edge, listed pendant-first
+    assert pyref.spanning_tree_masks(3, [1, 0, 0], [2, 1, 1], 3) == [3, 5]
+    # disconnected: edges {0,1} and {2,3}
+    assert pyref.spanning_tree_masks(2, [0, 2], [1, 3], 4) == []
+
+
+def test_spanning_tree_masks_leave_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pyref.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_spanning_tree_masks_reject_wide_input():
+    with pytest.raises(ValueError, match="at most 62 edges"):
+        pyref.spanning_tree_masks(63, [0] * 63, [1] * 63, 2)
 
 
 def test_pyref_rank_small_cases():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancomplex import (
     Facet,
@@ -6,9 +8,11 @@ from spancomplex import (
     count_spanning_trees_layout,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_layout,
+    kernels,
     parallel_classes,
     recognize_unicyclic,
 )
+from spancomplex.randomgraphs import random_suite
 
 import bruteforce
 
@@ -139,3 +143,57 @@ def test_suite_properties(suite_graphs, start):
                 if c.endpoints in cycle_keys and ids & set(c.members):
                     hit_cycle += 1
             assert hit_cycle == lay.m - 1  # never all m cycle classes at once
+
+
+def test_generic_matches_subset_filter_on_random_suite():
+    for g in random_suite(42, 60, 12):
+        facets = enumerate_spanning_trees_generic(g)
+        assert as_sets(facets) == bruteforce.spanning_trees(g)
+        assert facets == sorted(facets)
+
+
+def test_generic_enumerates_no_forests(monkeypatch, fig1, theta):
+    calls = {"forest_masks": 0, "spanning_tree_masks": 0}
+    for name in calls:
+        kernel = getattr(kernels, name)
+
+        def counting(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    enumerate_spanning_trees_generic(fig1)
+    enumerate_spanning_trees_generic(theta)
+    assert calls == {"forest_masks": 0, "spanning_tree_masks": 2}
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected loop-free multigraphs of at most 12 edges, any cycle rank.
+
+    A random tree on the vertices, plus extra edges (parallel copies or
+    chords, so from none to several independent cycles).  Edge input
+    order, edge ids and vertex order are each drawn independently, so
+    id order disagrees with input order.
+    """
+    n = draw(st.integers(2, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=12 - len(pairs),
+        )
+    )
+    pairs = draw(st.permutations(pairs))
+    ids = draw(st.permutations(range(len(pairs))))
+    names = draw(st.permutations([f"x{v}" for v in range(n)]))
+    edges = [(f"e{k:02d}", (names[u], names[w])) for k, (u, w) in zip(ids, pairs)]
+    return build_multigraph(sorted(names), edges)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs())
+def test_generic_property_on_any_connected_multigraph(g):
+    facets = enumerate_spanning_trees_generic(g)
+    assert as_sets(facets) == bruteforce.spanning_trees(g)
+    assert facets == sorted(set(facets))
