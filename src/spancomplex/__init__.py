@@ -35,7 +35,6 @@ from .homology import (
     boundary_matrix,
     euler_from_betti,
     graded_faces,
-    matrix_rank_exact,
 )
 from .ideal import (
     MonomialIdealView,
@@ -102,7 +101,6 @@ __all__ = [
     "facet_ideal",
     "graded_faces",
     "load_graph_file",
-    "matrix_rank_exact",
     "minimal_vertex_covers_closed_form",
     "minimal_vertex_covers_generic",
     "multigraph_from_json",

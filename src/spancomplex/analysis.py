@@ -286,7 +286,7 @@ def run_analyze(
         report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         report.betti = betti_from_faces(faces)
         report.euler_betti = euler_from_betti(report.betti)
-        report.covers_generic = minimal_vertex_covers_generic(report.facets_generic)
+        report.covers_generic = minimal_vertex_covers_generic(g)
         if report.dim is None:
             report.dim = len(report.facets_generic[0].edge_ids) - 1
 

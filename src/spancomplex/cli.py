@@ -85,7 +85,7 @@ def cmd_covers(args) -> int:
     g = parse_graph_file(args.path)
     require_budget(g.n_edges, args.budget, "spanning tree enumeration")
     facets = enumerate_spanning_trees_generic(g)
-    covers = minimal_vertex_covers_generic(facets)
+    covers = minimal_vertex_covers_generic(g)
     view = facet_ideal(facets)
     decomp = primary_decomposition(covers)
     if args.json:
@@ -157,15 +157,20 @@ def cmd_random_suite(args) -> int:
     return 1 if failures else 0
 
 
-def _budget(text: str) -> int:
-    """A --budget value: the enumerations handle 1..MAX_EDGES edges."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= MAX_EDGES:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_EDGES}, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an int of at least ``low`` and, if given, at most ``high``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or high is not None and value > high:
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument(
             "--budget",
-            type=_budget,
+            type=_int_in(1, MAX_EDGES),
             default=DEFAULT_BUDGET,
             help=f"max edges for enumeration stages, 1..{MAX_EDGES} "
             f"(default {DEFAULT_BUDGET})",
@@ -216,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-suite", help="verify a seeded random graph family")
     add_common(p, with_path=False)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-edges", type=int, default=12)
+    p.add_argument("--count", type=_int_in(0), default=200)
+    # the smallest uni-cyclic multigraph is the simple triangle
+    p.add_argument("--max-edges", type=_int_in(3), default=12)
 
     return parser
 

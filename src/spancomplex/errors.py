@@ -41,13 +41,12 @@ class SchemaError(SpanComplexError, ValueError):
 class BudgetExceededError(SpanComplexError):
     """An enumeration stage was asked to exceed its configured budget."""
 
-    def __init__(self, stage: str, size: int, budget: int, unit: str = "edges"):
+    def __init__(self, stage: str, size: int, budget: int):
         self.stage = stage
         self.size = size
         self.budget = budget
-        self.unit = unit
         super().__init__(
-            f"{stage}: instance has {size} {unit}, exceeding the enumeration "
+            f"{stage}: instance has {size} edges, exceeding the enumeration "
             f"budget of {budget}"
         )
 

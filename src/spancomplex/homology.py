@@ -6,10 +6,9 @@ are ranks of homology over the rationals.  ``betti_from_faces`` gets
 every boundary rank from one sparse column reduction with clearing
 (Chen & Kerber, "Persistent homology computation with a twist", 2011),
 in exact integer arithmetic (no floating point), which is all the
-alternating-sum identities here require.  ``boundary_matrix`` and
-``matrix_rank_exact`` build and rank one dense matrix, for
-``homology --dump-matrices`` and as the reference the tests compare
-against.
+alternating-sum identities here require.  ``boundary_matrix`` builds one
+dense matrix, for ``homology --dump-matrices`` and for the tests, which
+rank it with ``kernels.matrix_rank`` as the reference for the reduction.
 """
 
 from __future__ import annotations
@@ -134,12 +133,6 @@ def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
     return BoundaryMatrix(
         i=i, n_rows=n_rows, n_cols=len(cols), rows=tuple(tuple(r) for r in rows)
     )
-
-
-def matrix_rank_exact(m) -> int:
-    """Exact rank over the rationals; accepts a BoundaryMatrix or rows."""
-    rows = m.rows if isinstance(m, BoundaryMatrix) else m
-    return kernels.matrix_rank(rows)
 
 
 def betti_numbers(

@@ -1,10 +1,10 @@
 """Facet ideal, minimal vertex covers and primary decomposition.
 
 Vertices of the complex are the edges of the multigraph, so a vertex
-cover is an edge set meeting every spanning tree.  The facet ideal has
-one squarefree monomial generator per facet; its minimal primes are in
-bijection with the minimal vertex covers, which gives the primary
-decomposition combinatorially.
+cover is an edge set meeting every spanning tree, which is one whose
+deletion disconnects the graph: the minimal covers are its bonds.  The
+facet ideal has one squarefree generator per facet and one minimal prime
+per minimal cover, which gives its primary decomposition combinatorially.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceededError
-from .multigraph import UnicyclicLayout
-from .spanning import Facet
-
-DEFAULT_MAX_FACETS = 4096
+from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
 
 
 @dataclass(frozen=True, order=True)
@@ -65,62 +61,75 @@ def _cover_sort_key(c: VertexCover):
     return (len(c.edge_ids), c.edge_ids)
 
 
-def minimal_vertex_covers_generic(facets, max_facets: int = DEFAULT_MAX_FACETS) -> list[VertexCover]:
-    """All minimal transversals of the facet hypergraph, exactly.
+def minimal_vertex_covers_generic(g: Multigraph) -> list[VertexCover]:
+    """The minimal vertex covers of the complex: the bonds of ``g``, the
+    cuts δ(S) with S and V∖S both connected, each re-verified on ``g``.
 
-    Incremental construction: fold facets one at a time into an antichain
-    of minimal partial transversals, pruning non-minimal candidates at
-    each step.  Every result is re-verified by the element-dropping
-    minimality check.
+    S holds the first vertex; a neighbour of S is added to it or excluded
+    for good (Tsukiyama, Shirakawa, Ozaki & Ariyoshi, JACM 1980).  A branch
+    is kept only while every excluded vertex lies in one component of
+    G − S.  One branch always passes, and a node with no neighbour left to
+    decide is a bond, so the work is O(V·E) per bond.
     """
-    facets = sorted(facets)
-    if not facets:
-        raise ValueError("facet set is empty")
-    if len(facets) > max_facets:
-        raise BudgetExceededError("minimal vertex covers", len(facets), max_facets, unit="facets")
+    us, vs = edge_endpoint_indices(g)
+    ids = g.edge_ids()
+    nbrs = _neighbour_masks(g.n_vertices, us, vs, removed=())
+    covers: list[VertexCover] = []
 
-    universe = sorted({e for f in facets for e in f.edge_ids})
-    index = {e: i for i, e in enumerate(universe)}
-    facet_masks = [sum(1 << index[e] for e in f.edge_ids) for f in facets]
+    def one_component(s: int, excluded: int) -> bool:
+        return not excluded & ~_flood(nbrs, excluded & -excluded, ~s)
 
-    transversals = [0]
-    for fmask in facet_masks:
-        hit = []
-        grown = []
-        for t in transversals:
-            if t & fmask:
-                hit.append(t)
-            else:
-                bits = fmask
-                while bits:
-                    low = bits & -bits
-                    grown.append(t | low)
-                    bits ^= low
-        # keep only minimal sets: drop anything containing another candidate
-        merged = sorted(set(hit + grown), key=lambda t: (t.bit_count(), t))
-        kept: list[int] = []
-        for t in merged:
-            if not any(k & t == k for k in kept):
-                kept.append(t)
-        transversals = kept
-
-    covers = [
-        VertexCover.of(universe[i] for i in range(len(universe)) if t >> i & 1)
-        for t in transversals
-    ]
-    for c in covers:
-        _assert_minimal_cover(c, facets)
+    stack = [(1, nbrs[0], 0)]  # (S, its neighbours, excluded), as vertex masks
+    while stack:
+        s, reach, excluded = stack.pop()
+        candidates = reach & ~s & ~excluded
+        if candidates:
+            u = candidates & -candidates
+            if one_component(s, excluded | u):
+                stack.append((s, reach, excluded | u))
+            if one_component(s | u, excluded):
+                stack.append((s | u, reach | nbrs[u.bit_length() - 1], excluded))
+        elif excluded:
+            cut = [e for e, (a, b) in enumerate(zip(us, vs)) if (s >> a ^ s >> b) & 1]
+            _assert_bond(g.n_vertices, us, vs, cut, ids)
+            covers.append(VertexCover.of(ids[e] for e in cut))
     return sorted(covers, key=_cover_sort_key)
 
 
-def _assert_minimal_cover(cover: VertexCover, facets) -> None:
-    ids = set(cover.edge_ids)
-    if not all(ids & set(f.edge_ids) for f in facets):
-        raise AssertionError(f"{cover} does not cover every facet")
-    for e in cover.edge_ids:
-        rest = ids - {e}
-        if all(rest & set(f.edge_ids) for f in facets):
-            raise AssertionError(f"{cover} is not minimal: {e} is redundant")
+def _neighbour_masks(n: int, us, vs, removed) -> list[int]:
+    nbrs = [0] * n
+    for e, (u, v) in enumerate(zip(us, vs)):
+        if e not in removed:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _flood(nbrs: list[int], seen: int, allowed: int) -> int:
+    """The vertices of ``allowed`` reachable from the mask ``seen``, with ``seen``."""
+    frontier = seen
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _assert_bond(n: int, us, vs, cut: list[int], ids) -> None:
+    """An edge set is a minimal disconnecting set exactly when deleting it
+    leaves two components and each of its edges joins them."""
+    nbrs = _neighbour_masks(n, us, vs, removed=set(cut))
+    side = _flood(nbrs, 1, -1)
+    rest = (1 << n) - 1 & ~side
+    if not rest or _flood(nbrs, rest & -rest, -1) != rest:
+        raise AssertionError(f"{[ids[e] for e in cut]} does not leave exactly two components")
+    for e in cut:
+        if not (side >> us[e] ^ side >> vs[e]) & 1:
+            raise AssertionError(f"{[ids[e] for e in cut]} is not minimal: {ids[e]} is redundant")
 
 
 def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[VertexCover]:

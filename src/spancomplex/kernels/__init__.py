@@ -8,8 +8,8 @@ spanning trees, with no detour through the other forests.
 
 ``matrix_rank`` is not on the ``analyze``/``homology`` path: Betti
 numbers come from the sparse column reduction in ``homology``.  It ranks
-dense matrices for ``homology.matrix_rank_exact``, the reference the
-tests compare that reduction against.
+dense boundary matrices in the tests, as the reference that reduction is
+compared against.
 """
 
 from . import pyref

@@ -49,12 +49,6 @@ class Multigraph:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(eid for eid, _ in self.edges)
 
-    def endpoints(self, edge_id: str) -> tuple[str, str]:
-        for eid, ends in self.edges:
-            if eid == edge_id:
-                return ends
-        raise KeyError(edge_id)
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),

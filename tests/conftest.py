@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from spancomplex import build_multigraph
 from spancomplex.randomgraphs import random_suite
@@ -86,3 +87,28 @@ def theta():
 @pytest.fixture(scope="session")
 def suite_graphs():
     return random_suite(SUITE_SEED, SUITE_COUNT, SUITE_MAX_EDGES)
+
+
+@st.composite
+def connected_multigraphs(draw, max_edges=12, max_rank=None):
+    """Connected loop-free multigraphs of at most ``max_edges`` edges.
+
+    A random tree on the vertices, plus extra edges (parallel copies or
+    chords, so from none to several independent cycles).  The number of
+    extra edges is the cycle rank; given ``max_rank``, it is drawn from
+    0..``max_rank`` first.  Edge input order, edge ids and vertex order are
+    each drawn independently, so id order disagrees with input order.
+    """
+    n = draw(st.integers(2, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    if max_rank is None:
+        pairs += draw(st.lists(chord, max_size=max_edges - len(pairs)))
+    else:
+        rank = draw(st.integers(0, min(max_rank, max_edges - len(pairs))))
+        pairs += draw(st.lists(chord, min_size=rank, max_size=rank))
+    pairs = draw(st.permutations(pairs))
+    ids = draw(st.permutations(range(len(pairs))))
+    names = draw(st.permutations([f"x{v}" for v in range(n)]))
+    edges = [(f"e{k:02d}", (names[u], names[w])) for k, (u, w) in zip(ids, pairs)]
+    return build_multigraph(sorted(names), edges)

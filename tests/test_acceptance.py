@@ -190,7 +190,7 @@ def test_criterion_5_ideal_membership(suite_graphs):
             facet_sets = [set(f.edge_ids) for f in facets]
             from spancomplex.ideal import minimal_vertex_covers_generic
 
-            for cover in minimal_vertex_covers_generic(facets):
+            for cover in minimal_vertex_covers_generic(g):
                 ids_set = set(cover.edge_ids)
                 assert all(ids_set & fs for fs in facet_sets)
                 for e in ids_set:

@@ -193,6 +193,51 @@ def test_random_suite_json(capsys):
     assert doc == {"seed": 7, "count": 5, "max_edges": 12, "failures": 0}
 
 
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--max-edges", "2", 3), ("--max-edges", "0", 3), ("--count", "-1", 0), ("--count", "-3", 0)],
+)
+def test_random_suite_bad_arguments_are_input_errors(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main(["random-suite", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be at least {low}, got {value}"
+    )
+
+
+def test_random_suite_smallest_layouts(capsys):
+    code, out, _ = run_cli(capsys, "random-suite", "--count", "3", "--max-edges", "3")
+    assert code == 0
+    assert "checked 3 graphs" in out
+    assert run_cli(capsys, "random-suite", "--count", "0")[0] == 0
+
+
+INVALID_GRAPHS = {
+    "loop": (
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]},
+                                           {"id": "e2", "ends": ["b", "b"]}]},
+        "error: edge 'e2' is a loop on vertex 'b'",
+    ),
+    "unreachable": (
+        {"vertices": ["a", "b", "c"], "edges": [{"id": "e1", "ends": ["a", "b"]}]},
+        "error: vertex 'c' is unreachable",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "covers", "homology"])
+@pytest.mark.parametrize("defect", sorted(INVALID_GRAPHS))
+def test_invalid_graph_file_is_input_error(capsys, tmp_path, command, defect):
+    doc, message = INVALID_GRAPHS[defect]
+    path = tmp_path / f"{defect}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, command, str(path)) == (2, "", message + "\n")
+
+
 def test_analyze_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", FIG1, "--json")
     _, out2, _ = run_cli(capsys, "analyze", FIG1, "--json")

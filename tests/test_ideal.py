@@ -1,8 +1,10 @@
+import inspect
+import sys
+
 import pytest
+from hypothesis import given, settings
 
 from spancomplex import (
-    BudgetExceededError,
-    Facet,
     VertexCover,
     build_multigraph,
     enumerate_spanning_trees_generic,
@@ -12,9 +14,11 @@ from spancomplex import (
     primary_decomposition,
     recognize_unicyclic,
 )
-from spancomplex.ideal import monomial_divisible_by_some_generator
+from spancomplex.ideal import _assert_bond, monomial_divisible_by_some_generator
+from spancomplex.multigraph import edge_endpoint_indices
 
 import bruteforce
+from conftest import connected_multigraphs
 
 FIG1_COVERS = {
     frozenset({"e41", "e42"}),
@@ -28,16 +32,19 @@ def as_sets(covers):
     return {frozenset(c.edge_ids) for c in covers}
 
 
+def one_edge():
+    return build_multigraph(["a", "b"], [("e1", ("a", "b"))])
+
+
 def test_generic_covers_fig1(fig1):
     facets = enumerate_spanning_trees_generic(fig1)
-    covers = minimal_vertex_covers_generic(facets)
+    covers = minimal_vertex_covers_generic(fig1)
     assert as_sets(covers) == FIG1_COVERS
     assert as_sets(covers) == bruteforce.minimal_covers(facets)
 
 
 def test_generic_covers_triangle(triangle):
-    facets = enumerate_spanning_trees_generic(triangle)
-    assert as_sets(minimal_vertex_covers_generic(facets)) == {
+    assert as_sets(minimal_vertex_covers_generic(triangle)) == {
         frozenset({"e1", "e2"}),
         frozenset({"e1", "e3"}),
         frozenset({"e2", "e3"}),
@@ -45,15 +52,70 @@ def test_generic_covers_triangle(triangle):
 
 
 def test_generic_covers_single_facet():
-    covers = minimal_vertex_covers_generic([Facet(("e1",))])
-    assert covers == [VertexCover(("e1",))]
+    assert minimal_vertex_covers_generic(one_edge()) == [VertexCover(("e1",))]
 
 
-def test_generic_covers_facet_budget():
-    with pytest.raises(BudgetExceededError):
-        minimal_vertex_covers_generic(
-            [Facet((f"a{i}",)) for i in range(5)], max_facets=3
-        )
+def test_generic_covers_theta(theta):
+    covers = minimal_vertex_covers_generic(theta)
+    assert as_sets(covers) == bruteforce.minimal_covers(enumerate_spanning_trees_generic(theta))
+    # both edges of one path, or one edge from each of the three paths
+    assert [len(c.edge_ids) for c in covers] == [2] * 3 + [3] * 8
+
+
+def test_generic_covers_of_long_cycle():
+    """Any two edges of a cycle form a bond; 64 edges is past every facet budget."""
+    n = 64
+    vertices = [f"v{i}" for i in range(n)]
+    g = build_multigraph(
+        vertices, [(f"e{i:02d}", (vertices[i], vertices[(i + 1) % n])) for i in range(n)]
+    )
+    covers = minimal_vertex_covers_generic(g)
+    assert len(covers) == n * (n - 1) // 2 == 2016
+    assert {c.edge_ids for c in covers} == {
+        (f"e{i:02d}", f"e{j:02d}") for i in range(n) for j in range(i + 1, n)
+    }
+
+
+def test_generic_covers_do_not_recurse_per_vertex():
+    """The walk keeps its own stack: 300 vertices need no 300 nested calls."""
+    n = 300
+    vertices = [f"v{i:03d}" for i in range(n)]
+    g = build_multigraph(
+        vertices, [(f"e{i:03d}", (vertices[i], vertices[i + 1])) for i in range(n - 1)]
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        covers = minimal_vertex_covers_generic(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.edge_ids for c in covers] == [(f"e{i:03d}",) for i in range(n - 1)]
+
+
+def test_bond_check_rejects_non_bonds(fig1):
+    us, vs = edge_endpoint_indices(fig1)
+    ids = fig1.edge_ids()
+
+    def check(*cut):
+        _assert_bond(fig1.n_vertices, us, vs, [ids.index(e) for e in cut], ids)
+
+    check("e41", "e42")
+    check("e11", "e12", "e13", "e31")
+    with pytest.raises(AssertionError, match="does not leave exactly two components"):
+        check("e41")  # disconnects nothing
+    with pytest.raises(AssertionError, match="does not leave exactly two components"):
+        check("e21", "e31", "e41", "e42")  # leaves {a, b}, {c} and {d}
+    with pytest.raises(AssertionError, match="is not minimal: e41 is redundant"):
+        check("e21", "e31", "e41")  # e42 still joins c to d
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=10, max_rank=3))
+def test_generic_covers_are_the_minimal_transversals(g):
+    covers = minimal_vertex_covers_generic(g)
+    assert as_sets(covers) == bruteforce.minimal_covers(enumerate_spanning_trees_generic(g))
+    assert len(as_sets(covers)) == len(covers)
+    assert covers == sorted(covers, key=lambda c: (len(c.edge_ids), c.edge_ids))
 
 
 def test_closed_form_covers_fig1(fig1):
@@ -81,21 +143,20 @@ def test_pendant_single_edge_is_a_cover():
     assert lay.v == 1
     covers = minimal_vertex_covers_closed_form(lay)
     assert VertexCover(("p1",)) in covers
-    assert covers == minimal_vertex_covers_generic(enumerate_spanning_trees_generic(g))
+    assert covers == minimal_vertex_covers_generic(g)
 
 
 def test_closed_form_matches_generic_on_suite(suite_graphs):
     for g in suite_graphs[:80]:
         lay = recognize_unicyclic(g)
-        facets = enumerate_spanning_trees_generic(g)
-        assert minimal_vertex_covers_closed_form(lay) == minimal_vertex_covers_generic(facets)
+        assert minimal_vertex_covers_closed_form(lay) == minimal_vertex_covers_generic(g)
 
 
 def test_covering_and_drop_one_minimality(suite_graphs):
     for g in suite_graphs[:40]:
         facets = enumerate_spanning_trees_generic(g)
         facet_sets = [set(f.edge_ids) for f in facets]
-        for cover in minimal_vertex_covers_generic(facets):
+        for cover in minimal_vertex_covers_generic(g):
             ids = set(cover.edge_ids)
             assert all(ids & fs for fs in facet_sets)
             for e in ids:
@@ -118,14 +179,12 @@ def test_facet_ideal_triangle(triangle):
 
 
 def test_facet_ideal_single_facet():
-    view = facet_ideal([Facet(("e1",))])
+    view = facet_ideal(enumerate_spanning_trees_generic(one_edge()))
     assert view.render_generators() == "⟨x_{e1}⟩"
 
 
 def test_primary_decomposition_fig1(fig1):
-    facets = enumerate_spanning_trees_generic(fig1)
-    covers = minimal_vertex_covers_generic(facets)
-    decomp = primary_decomposition(covers)
+    decomp = primary_decomposition(minimal_vertex_covers_generic(fig1))
     assert decomp.render_decomposition() == (
         "(x_{e21},x_{e31}) ∩ (x_{e41},x_{e42}) ∩ "
         "(x_{e11},x_{e12},x_{e13},x_{e21}) ∩ (x_{e11},x_{e12},x_{e13},x_{e31})"
@@ -134,22 +193,19 @@ def test_primary_decomposition_fig1(fig1):
 
 
 def test_primary_decomposition_single_facet():
-    decomp = primary_decomposition(minimal_vertex_covers_generic([Facet(("e1",))]))
+    decomp = primary_decomposition(minimal_vertex_covers_generic(one_edge()))
     assert decomp.render_decomposition() == "(x_{e1})"
 
 
 def test_json_form(fig1):
-    facets = enumerate_spanning_trees_generic(fig1)
-    covers = minimal_vertex_covers_generic(facets)
-    doc = primary_decomposition(covers).to_json_dict()
+    doc = primary_decomposition(minimal_vertex_covers_generic(fig1)).to_json_dict()
     assert set(doc) == {"generators", "components"}
     assert doc["components"][0] == ["e21", "e31"]
 
 
 def test_cover_prime_bijection(suite_graphs):
     for g in suite_graphs[:30]:
-        facets = enumerate_spanning_trees_generic(g)
-        covers = minimal_vertex_covers_generic(facets)
+        covers = minimal_vertex_covers_generic(g)
         decomp = primary_decomposition(covers)
         assert [tuple(c) for c in decomp.components] == [c.edge_ids for c in covers]
 

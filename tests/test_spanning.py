@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spancomplex import (
     Facet,
@@ -15,6 +14,7 @@ from spancomplex import (
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
+from conftest import connected_multigraphs
 
 # the fourteen spanning trees of the worked example, frozen
 FIG1_TREES = [
@@ -165,30 +165,6 @@ def test_generic_enumerates_no_forests(monkeypatch, fig1, theta):
     enumerate_spanning_trees_generic(fig1)
     enumerate_spanning_trees_generic(theta)
     assert calls == {"forest_masks": 0, "spanning_tree_masks": 2}
-
-
-@st.composite
-def connected_multigraphs(draw):
-    """Connected loop-free multigraphs of at most 12 edges, any cycle rank.
-
-    A random tree on the vertices, plus extra edges (parallel copies or
-    chords, so from none to several independent cycles).  Edge input
-    order, edge ids and vertex order are each drawn independently, so
-    id order disagrees with input order.
-    """
-    n = draw(st.integers(2, 7))
-    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs += draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
-            max_size=12 - len(pairs),
-        )
-    )
-    pairs = draw(st.permutations(pairs))
-    ids = draw(st.permutations(range(len(pairs))))
-    names = draw(st.permutations([f"x{v}" for v in range(n)]))
-    edges = [(f"e{k:02d}", (names[u], names[w])) for k, (u, w) in zip(ids, pairs)]
-    return build_multigraph(sorted(names), edges)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
