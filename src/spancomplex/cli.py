@@ -84,11 +84,11 @@ def cmd_facets(args) -> int:
 def cmd_covers(args) -> int:
     g = parse_graph_file(args.path)
     require_budget(g.n_edges, args.budget, "spanning tree enumeration")
-    facets = enumerate_spanning_trees_generic(g)
     covers = minimal_vertex_covers_generic(g)
-    view = facet_ideal(facets)
     decomp = primary_decomposition(covers)
     if args.json:
+        # only the JSON view lists the ideal's generators, one per spanning tree
+        view = facet_ideal(enumerate_spanning_trees_generic(g))
         _emit_json({"generators": [list(x) for x in view.generators],
                     "components": [list(x) for x in decomp.components]})
     else:

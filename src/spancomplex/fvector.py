@@ -5,10 +5,16 @@ subset extends to a spanning tree exactly when it is a forest.  The
 f-vector (f_0, ..., f_d) counts faces per dimension; f_i is the number
 of forests with i+1 edges.  Two routes compute it: brute-force forest
 enumeration, and a closed form over the uni-cyclic layout built from
-binomial sums with inclusion-exclusion over the multiple classes.  The
-closed form's double sums are evaluated in swapped order (the inner
-weights do not depend on the dimension), so all terms come from one
-pass per layout instead of one full evaluation per dimension.
+binomial sums with inclusion-exclusion over the multiple classes.
+
+The closed form's double sums are evaluated in swapped order, with the
+outer loop over the summation index l and the inner loop over the
+dimension i.  Its binomials are not computed term by term: each column
+C(N - l, p - l), p running over the requested dimensions, follows from
+the column for l - 1 by Pascal's rule, with one ``math.comb`` at its
+top, and the column for l = 0 is walked by
+C(N, q+1) = C(N, q)(N - q)/(q + 1).  Each entry point evaluates only
+the dimensions it returns.
 """
 
 from __future__ import annotations
@@ -92,35 +98,70 @@ def _elementary_symmetric(values) -> list[int]:
     return coeffs
 
 
+def _column(a: int, lo: int, hi: int) -> list[int]:
+    """C(a, q) for q = lo..hi-1, with ``binomial``'s out-of-range convention.
+
+    One ``math.comb`` at the first q >= 0, then the walk
+    C(a, q+1) = C(a, q)(a - q)/(q + 1), which reaches 0 past q = a.
+    """
+    col = [0] * max(0, min(hi, 0) - lo)
+    first = max(lo, 0)
+    value = binomial(a, first)
+    for q in range(first, hi):
+        col.append(value)
+        value = value * (a - q) // (q + 1)
+    return col
+
+
 def _lift(weights: list[int], top: int) -> list[int]:
     """Coefficients c_l = sum_{j=2}^{l} w_j (-1)^(l-j) C(top-j, l-j), l = 0..top.
 
     ``weights[j]`` is w_j.  This is the inner sum of one inclusion-exclusion
-    block with the j and l sums swapped; it does not depend on i.
+    block with the j and l sums swapped; it does not depend on i.  The
+    (-1)^(l-j) C(top-j, l-j) are the coefficients of (1 - t)^(top-j), so
+    the c_l are those of R_top, where R_1 = 0 and
+    R_j = (1 - t) R_{j-1} + w_j t^j: each step is one Pascal step of
+    subtractions, and no binomial is computed.
     """
     coeffs = [0] * (top + 1)
     for j in range(2, top + 1):
-        sign = weights[j]
-        for l in range(j, top + 1):
-            coeffs[l] += sign * binomial(top - j, l - j)
-            sign = -sign
+        for l in range(j, 2, -1):
+            coeffs[l] -= coeffs[l - 1]
+        coeffs[j] += weights[j]
     return coeffs
 
 
-def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
-    """Closed-form face counts for every i = 0..n-1, in one pass.
+def _pascal_sums(base: int, coeffs: list[int], lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """C(base, q) and sum_{l>=1} coeffs[l] C(base-l, q-l), for q = lo..hi-1.
 
-    Each term starts from C(n, i+1) and subtracts, by inclusion-exclusion
-    over the multiple classes, the subsets that contain the cycle or at
-    least two copies from one parallel class.  The paper writes each
-    block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
-    here the two sums are swapped, so the weights w_j and their lift to
-    coefficients c_l (``_lift``) are computed once per layout and every
-    term costs one pass over l.  This is the same finite sum reordered,
-    with no binomial identity applied.  Empty sums are 0, empty products
-    1, and out-of-range binomials vanish, so degenerate layouts collapse
-    correctly.  Terms beyond the dimension must all be 0.
+    ``coeffs`` comes from ``_lift``, so coeffs[1] = 0 and the sum starts
+    at l = 2.  The outer loop runs over l and keeps one column
+    V_l[q] = C(base-l, q-l); V_0 is ``_column(base, lo, hi)``.  For
+    base - l >= 0, Pascal's rule V_{l-1}[q] = V_l[q] + V_l[q+1] holds at
+    every q, so V_l is filled from the top down,
+    V_l[q] = V_{l-1}[q] - V_l[q+1], from one ``math.comb`` at q = hi-1.
+    Below q = l, and for every l once base - l < 0, V_l is 0.
     """
+    width = hi - lo
+    lead = prev = _column(base, lo, hi)
+    sums = [0] * width
+    for l in range(1, min(len(coeffs), hi)):
+        if base - l < 0:
+            break
+        c = coeffs[l]
+        col = [0] * width
+        value = binomial(base - l, hi - 1 - l)
+        for idx in range(width - 1, max(l, lo) - lo - 1, -1):
+            col[idx] = value
+            if c:
+                sums[idx] += c * value
+            value = prev[idx - 1] - value  # unused after idx = 0
+        prev = col
+    return lead, sums
+
+
+def _terms(layout: UnicyclicLayout, start: int, stop: int) -> list[int]:
+    """The closed-form face counts for i = start..stop-1 (see ``closed_form_terms``)."""
     n, m = layout.n, layout.m
     alpha, beta = layout.alpha, layout.beta
     ab = alpha + beta
@@ -135,34 +176,51 @@ def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
 
     # subsets containing the full cycle but no doubled class: N0 edges remain
     n0 = n - alpha + layout.r_prime - m
-    c_out = _lift([binomial(beta, j) - e_out[j] for j in range(beta + 1)], beta)
+    c_out = _lift([b - e for b, e in zip(_column(beta, 0, beta + 1), e_out)], beta)
     # subsets containing at least two copies from some class
-    c_all = _lift([binomial(ab, j) - e_all[j] for j in range(ab + 1)], ab)
+    c_all = _lift([b - e for b, e in zip(_column(ab, 0, ab + 1), e_all)], ab)
 
-    terms = []
-    for i in range(n):
-        k = i + 1 - m
-        bracket = binomial(n0, k) - sum(
-            c_out[l] * binomial(n0 - l, k - l) for l in range(2, min(beta, k) + 1)
-        )
-        doubled = sum(
-            c_all[l] * binomial(n - l, i + 1 - l) for l in range(2, min(ab, i + 1) + 1)
-        )
-        terms.append(binomial(n, i + 1) - cycle_choices * bracket - doubled)
-    return terms
+    # a term of dimension i counts subsets of p = i+1 edges, k = p-m off the cycle
+    every, doubled = _pascal_sums(n, c_all, start + 1, stop + 1)
+    free, excess = _pascal_sums(n0, c_out, start + 1 - m, stop + 1 - m)
+    return [
+        total - cycle_choices * (bracket - minus) - dbl
+        for total, bracket, minus, dbl in zip(every, free, excess, doubled)
+    ]
+
+
+def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
+    """Closed-form face counts for every i = 0..n-1, in one pass.
+
+    Each term starts from C(n, i+1) and subtracts, by inclusion-exclusion
+    over the multiple classes, the subsets that contain the cycle or at
+    least two copies from one parallel class.  The paper writes each
+    block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
+    here the j and l sums are swapped, so the weights w_j and their lift
+    to coefficients c_l (``_lift``) are computed once per call.  Then the
+    l and i loops are swapped too: the outer loop over l walks the
+    binomial column C(N-l, k-l) over all requested k by Pascal's rule
+    (``_pascal_sums``), so a call makes one ``math.comb`` per column, not
+    one per (i, l) pair.  This is the same finite sum reordered, with no
+    binomial identity applied beyond the recurrences that produce its
+    binomials.  Empty sums are 0, empty products 1, and out-of-range
+    binomials vanish, so degenerate layouts collapse correctly.  Terms
+    beyond the dimension must all be 0.
+    """
+    return _terms(layout, 0, layout.n)
 
 
 def f_vector_closed_form(layout: UnicyclicLayout) -> FVector:
-    """Closed-form f-vector: the terms for i = 0..dim."""
-    return FVector(tuple(closed_form_terms(layout)[: dimension(layout) + 1]))
+    """Closed-form f-vector: the terms for i = 0..dim, and no others."""
+    return FVector(tuple(_terms(layout, 0, dimension(layout) + 1)))
 
 
 def closed_form_tail(layout: UnicyclicLayout) -> list[int]:
-    """Closed-form terms beyond the dimension, i = d+1..n-1.
+    """Closed-form terms beyond the dimension, i = d+1..n-1, and no others.
 
     All must vanish; the verification harness flags any nonzero value.
     """
-    return closed_form_terms(layout)[dimension(layout) + 1 :]
+    return _terms(layout, dimension(layout) + 1, layout.n)
 
 
 def euler_characteristic(f: FVector) -> int:

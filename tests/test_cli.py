@@ -153,6 +153,23 @@ def test_covers_text(capsys):
     assert "decomposition: (x_{e21},x_{e31})" in out
 
 
+@pytest.mark.parametrize("flags,enumerations", [((), 0), (("--json",), 1)])
+def test_covers_enumerates_trees_only_for_json(capsys, monkeypatch, flags, enumerations):
+    from spancomplex import cli
+
+    calls = []
+    enumerate_trees = cli.enumerate_spanning_trees_generic
+
+    def counting(g):
+        calls.append(g.n_edges)
+        return enumerate_trees(g)
+
+    monkeypatch.setattr(cli, "enumerate_spanning_trees_generic", counting)
+    code, out, _ = run_cli(capsys, "covers", FIG1, *flags)
+    assert code == 0 and out
+    assert len(calls) == enumerations
+
+
 def test_homology_text(capsys):
     code, out, _ = run_cli(capsys, "homology", FIG1)
     assert code == 0

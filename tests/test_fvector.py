@@ -15,6 +15,7 @@ from spancomplex import (
     f_vector_closed_form,
     recognize_unicyclic,
 )
+from spancomplex import fvector
 from spancomplex.fvector import (
     FVector,
     _elementary_symmetric,
@@ -203,15 +204,17 @@ def face_polynomial(cycle_sizes, outside_sizes=(), pendants=0):
     The independence complex of the cycle matroid factors over its
     classes; the subtracted part counts the subsets that hold the cycle.
     """
-    def product(sizes):
+    def product(sizes, ones=0):
+        # the single edges enter as one binomial row (1 + t)^ones
         coeffs = [1]
+        for k in range(ones):
+            coeffs.append(coeffs[-1] * (ones - k) // (k + 1))
         for s in sizes:
             coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
         return coeffs
 
-    outside = list(outside_sizes) + [1] * pendants
-    every = product(list(cycle_sizes) + outside)
-    holding = product(outside)
+    every = product(list(cycle_sizes) + list(outside_sizes), pendants)
+    holding = product(outside_sizes, pendants)
     m = len(cycle_sizes)
     for k, e in enumerate(holding):
         every[m + k] -= math.prod(cycle_sizes) * e
@@ -222,6 +225,35 @@ def test_swapped_sums_equal_paper_order_on_suite(suite_graphs):
     for g in suite_graphs[:80]:
         lay = recognize_unicyclic(g)
         assert closed_form_terms(lay) == [_paper_term_literal(lay, i) for i in range(lay.n)]
+
+
+def assert_split_equals_terms(lay):
+    """The f-vector and the tail, each evaluated on its own range, are all the terms."""
+    split = list(f_vector_closed_form(lay).counts) + closed_form_tail(lay)
+    assert split == closed_form_terms(lay)
+    assert split == [_paper_term_literal(lay, i) for i in range(lay.n)]
+
+
+def test_split_range_equals_all_terms_on_suite(suite_graphs):
+    for g in suite_graphs:
+        assert_split_equals_terms(recognize_unicyclic(g))
+
+
+def test_closed_form_makes_one_fresh_binomial_per_column(monkeypatch):
+    lay = recognize_unicyclic(layout_graph([3] * 100))
+    assert (lay.n, lay.alpha, lay.beta) == (300, 300, 0)
+    expected = closed_form_terms(lay)
+    calls = []
+    comb = fvector.math.comb
+
+    def counting(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(fvector.math, "comb", counting)
+    assert closed_form_terms(lay) == expected
+    # O(alpha + beta) columns; one math.comb per (i, l) pair would be ~45,000
+    assert 0 < len(calls) <= 2 * (lay.alpha + lay.beta + 2)
 
 
 @pytest.mark.parametrize(
@@ -245,8 +277,19 @@ def test_swapped_sums_equal_paper_order_at_n60(cycle_sizes, outside_sizes, penda
         ([2, 5, 1, 3, 1, 4, 2, 1], (3, 2, 4, 5, 2, 3, 2, 4, 3, 5, 2, 6), 42),
         ([1] * 30 + [4] * 10, (5, 5, 4, 3, 2, 2, 3), 12),
         ([2] * 12 + [1] * 3, (2,) * 25, 30),
+        ([3] * 200, (), 0),
+        ([2, 2, 2], (), 3000),
+        ([2, 3, 1, 1, 4] * 4, (2, 3, 4, 5) * 5, 888),
     ],
-    ids=["fat-cycle-150", "mixed-102", "mixed-106", "mixed-107"],
+    ids=[
+        "fat-cycle-150",
+        "mixed-102",
+        "mixed-106",
+        "mixed-107",
+        "fat-cycle-600",
+        "pendant-heavy-3006",
+        "mixed-1002",
+    ],
 )
 def test_closed_form_equals_face_polynomial_beyond_budget(cycle_sizes, outside_sizes, pendants):
     lay = recognize_unicyclic(layout_graph(cycle_sizes, outside_sizes, pendants))
@@ -273,5 +316,6 @@ def test_closed_form_property(cycle_sizes, outside_sizes, pendants):
     fv = f_vector_closed_form(lay)
     assert fv.counts == tuple(poly[1 : fv.dim + 2])
     assert not any(closed_form_tail(lay))
+    assert_split_equals_terms(lay)
     if lay.n <= 12:
         assert fv.counts == f_vector_bruteforce(g).counts
