@@ -109,7 +109,7 @@ def cmd_homology(args) -> int:
             bm = boundary_matrix(faces, i)
             target = outdir / f"boundary_{i}.txt"
             target.write_text("\n".join(bm.coordinate_triples()) + "\n", encoding="utf-8")
-            sys.stdout.write(f"wrote {target}\n")
+            sys.stderr.write(f"wrote {target}\n")
     doc = {
         "grade_sizes": [str(s) for s in faces.sizes()],
         "boundary_ranks": [str(r) for r in betti.boundary_ranks],

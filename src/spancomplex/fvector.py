@@ -71,21 +71,17 @@ def require_budget(n_edges: int, budget: int, stage: str) -> None:
         raise BudgetExceededError(stage, n_edges, budget)
 
 
-def forest_sizes(g: Multigraph, budget: int = DEFAULT_BUDGET, stage: str = "f-vector brute force"):
-    """Count forests per cardinality; index k holds the number with k+1 edges."""
-    require_budget(g.n_edges, budget, stage)
+def f_vector_bruteforce(g: Multigraph, budget: int = DEFAULT_BUDGET) -> FVector:
+    """Oracle route: f_i by explicit enumeration of all forests, counted
+    per cardinality (index k holds the number with k+1 edges)."""
+    require_budget(g.n_edges, budget, "f-vector brute force")
     us, vs = edge_endpoint_indices(g)
     sizes = [0] * g.n_edges
     for mask in kernels.forest_masks(g.n_edges, us, vs, g.n_vertices):
         sizes[mask.bit_count() - 1] += 1
     while sizes and sizes[-1] == 0:
         sizes.pop()
-    return sizes
-
-
-def f_vector_bruteforce(g: Multigraph, budget: int = DEFAULT_BUDGET) -> FVector:
-    """Oracle route: f_i by explicit enumeration of all forests."""
-    return FVector(tuple(forest_sizes(g, budget)))
+    return FVector(tuple(sizes))
 
 
 def _elementary_symmetric(values) -> list[int]:

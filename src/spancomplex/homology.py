@@ -6,14 +6,15 @@ are ranks of homology over the rationals.  ``betti_from_faces`` gets
 every boundary rank from one sparse column reduction with clearing
 (Chen & Kerber, "Persistent homology computation with a twist", 2011),
 in exact integer arithmetic (no floating point), which is all the
-alternating-sum identities here require.  ``boundary_matrix`` builds one
-dense matrix, for ``homology --dump-matrices`` and for the tests, which
-rank it with ``kernels.matrix_rank`` as the reference for the reduction.
+alternating-sum identities here require.  One generator,
+``_boundary_columns``, builds each boundary column as a sparse dict: the
+reduction draws the columns it does not clear from it, and
+``boundary_matrix`` collects them all for ``--dump-matrices`` and tests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -42,25 +43,24 @@ class GradedFaces:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Signed incidence matrix from grade i to grade i-1.
+    """Signed incidence matrix from grade i to grade i-1, by columns.
 
-    Rows follow the (i-1)-face order, columns the i-face order; entries
-    are -1, 0 or +1.
+    Rows follow the (i-1)-face order, columns the i-face order;
+    ``columns[c]`` maps the row of each non-zero entry of column c to its
+    value, -1 or +1.
     """
 
     i: int
     n_rows: int
     n_cols: int
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
 
     def coordinate_triples(self) -> list[str]:
         """Non-zero entries as "row col value" lines, row-major."""
-        return [
-            f"{r} {c} {val}"
-            for r, row in enumerate(self.rows)
-            for c, val in enumerate(row)
-            if val
-        ]
+        entries = sorted(
+            (r, c, val) for c, col in enumerate(self.columns) for r, val in col.items()
+        )
+        return [f"{r} {c} {val}" for r, c, val in entries]
 
 
 @dataclass(frozen=True)
@@ -122,28 +122,33 @@ def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
     its (i-1)-subfaces, signs by position of the omitted vertex."""
     if not 1 <= i <= faces.dim:
         raise ValueError(f"boundary index {i} out of range 1..{faces.dim}")
-    row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
-    n_rows = len(faces.grades[i - 1])
-    cols = faces.grades[i]
-    rows = [[0] * len(cols) for _ in range(n_rows)]
-    for c, face in enumerate(cols):
-        for p in range(len(face)):
-            sub = face[:p] + face[p + 1 :]
-            rows[row_index[sub]][c] = -1 if p % 2 else 1
     return BoundaryMatrix(
-        i=i, n_rows=n_rows, n_cols=len(cols), rows=tuple(tuple(r) for r in rows)
+        i=i,
+        n_rows=len(faces.grades[i - 1]),
+        n_cols=len(faces.grades[i]),
+        columns=tuple(_boundary_columns(faces, i, ())),
     )
 
 
-def betti_numbers(
-    g: Multigraph, budget: int = DEFAULT_BUDGET, edge_order: tuple[str, ...] | None = None
-) -> BettiProfile:
+def _boundary_columns(
+    faces: GradedFaces, i: int, skip: Collection[int]
+) -> Iterator[dict[int, int]]:
+    """Yield the column ``{row: +-1}`` of each i-face not in ``skip``, in
+    order; the row index and the signs are built once per grade."""
+    row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
+    signs = [-1 if p % 2 else 1 for p in range(i + 1)]
+    for c, face in enumerate(faces.grades[i]):
+        if c not in skip:
+            yield {row_index[face[:p] + face[p + 1 :]]: signs[p] for p in range(i + 1)}
+
+
+def betti_numbers(g: Multigraph, budget: int = DEFAULT_BUDGET) -> BettiProfile:
     """Betti numbers beta_i = nullity(d_i) - rank(d_{i+1}) for i = 0..d.
 
     The 0-th boundary map is zero, so nullity(d_0) = f_0 and beta_0
     counts connected components of the complex.
     """
-    faces = graded_faces(g, budget=budget, edge_order=edge_order)
+    faces = graded_faces(g, budget=budget)
     return betti_from_faces(faces)
 
 
@@ -182,13 +187,8 @@ def _reduce_boundary(
     ``col <- (b/g) col - (a/g) pivot`` with ``g = gcd(a, b)``, followed by
     division by the content gcd, so entries stay exact Python integers.
     """
-    row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
-    signs = [-1 if p % 2 else 1 for p in range(i + 1)]
     pivots: dict[int, dict[int, int]] = {}
-    for c, face in enumerate(faces.grades[i]):
-        if c in cleared:
-            continue
-        col = {row_index[face[:p] + face[p + 1 :]]: signs[p] for p in range(i + 1)}
+    for col in _boundary_columns(faces, i, cleared):
         low = max(col)
         while low in pivots:
             pivot = pivots[low]

@@ -1,22 +1,22 @@
-"""The computational kernels: forest and spanning-tree enumeration, and
-exact matrix rank.
+"""The computational kernels: forest and spanning-tree enumeration.
 
-All are pure Python with arbitrary-precision arithmetic (``pyref``).
+Both are pure Python with arbitrary-precision arithmetic (``pyref``).
 ``forest_masks`` lists every face of the complex, for the f-vector and
 the graded faces.  ``spanning_tree_masks`` lists only the facets, the
 spanning trees, with no detour through the other forests.
 
-``matrix_rank`` is not on the ``analyze``/``homology`` path: Betti
-numbers come from the sparse column reduction in ``homology``.  It ranks
-dense boundary matrices in the tests, as the reference that reduction is
-compared against.
+``pyref.matrix_rank`` stays only as the tests' dense reference rank,
+and because the benchmark's tracer (``perfbench/spans.py``) wraps it on
+every ``--trace 1`` run.  The harness also records ``BACKEND`` (the
+report's ``settings.kernel_backend`` too) and ``_corex``.  They go when
+the benchmark reads an in-package trace instead (ROADMAP item 3).
 """
 
 from . import pyref
-from .pyref import MAX_EDGES, matrix_rank
+from .pyref import MAX_EDGES
 
 BACKEND = "python"
-_corex = None  # read by the benchmark harness, which records the backend
+_corex = None
 
 
 def forest_masks(n_edges: int, us, vs, n_vertices: int) -> list[int]:

@@ -114,3 +114,12 @@ def rank_over_rationals(rows) -> int:
         if row == n_rows:
             break
     return rank
+
+
+def dense(bm) -> list[list[int]]:
+    """A boundary matrix as a dense list of rows, for the reference ranks."""
+    rows = [[0] * bm.n_cols for _ in range(bm.n_rows)]
+    for c, col in enumerate(bm.columns):
+        for r, val in col.items():
+            rows[r][c] = val
+    return rows

@@ -64,6 +64,23 @@ def make_theta():
     )
 
 
+def make_doubled_six_cycle(extra):
+    """A 6-cycle whose classes all have two parallel edges, plus ``extra``
+    edges given as (id, vertex on the cycle, class size)."""
+    vertices = [f"v{i}" for i in range(6)]
+    edges = [
+        (f"c{i}{k}", (f"v{i}", f"v{(i + 1) % 6}")) for i in range(6) for k in range(2)
+    ]
+    for name, at, size in extra:
+        vertices.append(name)
+        edges += [(f"{name}{k}", (f"v{at}", name)) for k in range(size)]
+    return build_multigraph(vertices, edges)
+
+
+# one pendant edge at each cycle vertex: 18 edges, 42559 faces
+SIX_PENDANTS = [(f"p{i}", i, 1) for i in range(6)]
+
+
 @pytest.fixture
 def fig1():
     return make_fig1()

@@ -128,23 +128,12 @@ def test_criterion_3_formula_vs_oracle_suite(suite_graphs):
     assert _timings["3"] < 60.0
 
 
-def _columns(bm):
-    """The nonzero entries of each column of a boundary matrix, as {row: value}."""
-    cols = [{} for _ in range(bm.n_cols)]
-    for r, row in enumerate(bm.rows):
-        for c, val in enumerate(row):
-            if val:
-                cols[c][r] = val
-    return cols
-
-
 def _compose(lower, upper):
-    """Every entry of the product lower @ upper, from sparse columns."""
-    lower_cols = _columns(lower)
-    for col in _columns(upper):
+    """Every entry of the product lower @ upper, from the sparse columns."""
+    for col in upper.columns:
         acc = {}
         for mid, v in col.items():
-            for r, w in lower_cols[mid].items():
+            for r, w in lower.columns[mid].items():
                 acc[r] = acc.get(r, 0) + v * w
         yield from acc.values()
 

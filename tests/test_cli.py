@@ -1,11 +1,13 @@
+import importlib.util
 import json
 
 import pytest
 
+from spancomplex import cli
 from spancomplex.cli import main, parse_graph_file
 from spancomplex.errors import SchemaError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SIX_PENDANTS, make_doubled_six_cycle
 
 FIG1 = str(FIXTURES / "u_7_3_2.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -190,6 +192,29 @@ def test_homology_dump_matrices(capsys, tmp_path):
     for line in d1 + d2:
         row, col, val = line.split()
         assert int(val) in (-1, 1)
+    assert "wrote" not in out
+
+
+def test_homology_dump_matrices_keeps_json_stdout(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "homology", FIG1, "--json", "--dump-matrices", str(tmp_path))
+    assert code == 0
+    _, plain, _ = run_cli(capsys, "homology", FIG1, "--json")
+    assert json.loads(out) == json.loads(plain)
+    assert out == plain
+    assert err == "".join(f"wrote {tmp_path / f'boundary_{i}.txt'}\n" for i in (1, 2))
+
+
+def test_homology_dump_matrices_repeatable(capsys, tmp_path):
+    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
+    path = tmp_path / "pendants.json"
+    path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
+    dumps = []
+    for run in ("a", "b"):
+        code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(tmp_path / run))
+        assert code == 0
+        dumps.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
+    assert sorted(dumps[0]) == sorted(f"boundary_{i}.txt" for i in range(1, 11))
+    assert dumps[0] == dumps[1]
 
 
 def test_random_suite_small(capsys):
@@ -341,3 +366,27 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
         "message": "stage broke",
     }
     assert run_cli(capsys, "verify", FIG1)[0] == 4
+
+
+def test_benchmark_tracer_installs_and_restores(capsys):
+    # perfbench --trace 1 wraps package functions by name; a rename or a
+    # deletion that breaks it fails here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", FIXTURES.parent / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)
+        code = cli.main(["analyze", FIG1, "--json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["homology"]["betti"] == ["1", "0", "3"]
+    names = {span[0] for span in tracer.passes[0]}
+    assert {"cli.main", "analysis.run_analyze", "homology.betti_from_faces"} <= names
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, f"{owner!r}.{attr}"
