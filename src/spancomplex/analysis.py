@@ -78,7 +78,6 @@ class AnalysisReport:
     euler_bruteforce: int | None = None
     euler_betti: int | None = None
     betti: BettiProfile | None = None
-    grade_sizes: tuple[int, ...] | None = None
     covers_closed_form: list[VertexCover] | None = None
     covers_generic: list[VertexCover] | None = None
     ideal: MonomialIdealView | None = None
@@ -158,7 +157,7 @@ class AnalysisReport:
                 else {
                     "betti": [str(b) for b in self.betti.ranks],
                     "boundary_ranks": [str(r) for r in self.betti.boundary_ranks],
-                    "grade_sizes": [str(s) for s in (self.grade_sizes or ())],
+                    "grade_sizes": _fv_json(self.f_bruteforce),
                 }
             ),
             "covers": [list(c.edge_ids) for c in covers] if covers is not None else None,
@@ -277,12 +276,10 @@ def run_analyze(
         report.covers_closed_form = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
-        edge_order = layout.edge_order() if layout is not None else None
-        faces = graded_faces(g, budget=budget, edge_order=edge_order)
+        faces = graded_faces(g, budget=budget)
         # g is connected, so its largest forests are its spanning trees
-        report.facets_generic = sorted(Facet.of(f) for f in faces.grades[-1])
-        report.grade_sizes = faces.sizes()
-        report.f_bruteforce = FVector(report.grade_sizes)
+        report.facets_generic = sorted(Facet.of(faces.names(f)) for f in faces.grades[-1])
+        report.f_bruteforce = FVector(faces.sizes())
         report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         report.betti = betti_from_faces(faces)
         report.euler_betti = euler_from_betti(report.betti)

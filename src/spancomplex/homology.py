@@ -1,15 +1,17 @@
 """Simplicial chain complex of the spanning complex, over the integers.
 
-Faces are graded by dimension, ordered by a fixed global edge order; the
-boundary maps are the usual signed incidence matrices.  Betti numbers
-are ranks of homology over the rationals.  ``betti_from_faces`` gets
-every boundary rank from one sparse column reduction with clearing
-(Chen & Kerber, "Persistent homology computation with a twist", 2011),
-in exact integer arithmetic (no floating point), which is all the
-alternating-sum identities here require.  One generator,
-``_boundary_columns``, builds each boundary column as a sparse dict: the
-reduction draws the columns it does not clear from it, and
-``boundary_matrix`` collects them all for ``--dump-matrices`` and tests.
+Faces are forests, kept as the kernel's bitmasks (``GradedFaces.names``
+decodes one), graded by dimension and ordered by a fixed global edge
+order; the boundary maps are the usual signed incidence matrices.
+Betti numbers are ranks of homology over the rationals.
+``betti_from_faces`` gets every boundary rank from one sparse column
+reduction with clearing (Chen & Kerber, "Persistent homology computation
+with a twist", 2011), in exact integer arithmetic (no floating point),
+which is all the alternating-sum identities here require.  One
+generator, ``_boundary_columns``, builds each boundary column as a sparse
+dict from the face's bits: the reduction draws the columns it does not
+clear from it, and ``boundary_matrix`` collects them all for
+``--dump-matrices`` and tests.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from .errors import NotUnicyclicError
 from .fvector import DEFAULT_BUDGET, require_budget
 from .multigraph import Multigraph, edge_endpoint_indices, recognize_unicyclic
 
-Face = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class GradedFaces:
-    """Faces per dimension, each face a tuple sorted by the global order."""
+    """Faces per dimension, each a forest bitmask whose bit b is the edge
+    ``edge_order[n - 1 - b]``: high bits come first in the global order, so
+    each grade, in descending mask order, is in the global face order."""
 
     edge_order: tuple[str, ...]
-    grades: tuple[tuple[Face, ...], ...]
+    grades: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -39,6 +41,11 @@ class GradedFaces:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(gr) for gr in self.grades)
+
+    def names(self, face: int) -> tuple[str, ...]:
+        """The face's edge ids, in global order."""
+        n = len(self.edge_order)
+        return tuple(e for k, e in enumerate(self.edge_order) if face >> (n - 1 - k) & 1)
 
 
 @dataclass(frozen=True)
@@ -84,21 +91,15 @@ def canonical_edge_order(g: Multigraph) -> tuple[str, ...]:
         return g.edge_ids()
 
 
-def graded_faces(
-    g: Multigraph, budget: int = DEFAULT_BUDGET, edge_order: tuple[str, ...] | None = None
-) -> GradedFaces:
+def graded_faces(g: Multigraph, budget: int = DEFAULT_BUDGET) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
-    The edges are indexed in reverse global order, so bit b of a forest
-    mask is ``edge_order[n - 1 - b]``: reading the set bits from high to
-    low gives the face already sorted, and among faces of one size a
-    larger mask is an earlier face.  Walking the ascending masks
-    backwards thus yields every grade in order, with no sorting.
+    The edges are indexed in reverse ``canonical_edge_order(g)``, so the
+    ascending masks of ``kernels.forest_masks``, walked backwards, give
+    every grade in order with no sorting; see ``GradedFaces``.
     """
     require_budget(g.n_edges, budget, "graded face enumeration")
-    if edge_order is None:
-        edge_order = canonical_edge_order(g)
-    n = g.n_edges
+    edge_order = canonical_edge_order(g)
     index = {e: i for i, e in enumerate(g.edge_ids())}
     us, vs = edge_endpoint_indices(g)
     perm = [index[e] for e in reversed(edge_order)]
@@ -106,15 +107,10 @@ def graded_faces(
     vs = [vs[i] for i in perm]
 
     # g is connected, so its largest forests have |V| - 1 edges
-    grades: list[list[Face]] = [[] for _ in range(g.n_vertices - 1)]
-    for mask in reversed(kernels.forest_masks(n, us, vs, g.n_vertices)):
-        face = []
-        while mask:
-            top = mask.bit_length()
-            face.append(edge_order[n - top])
-            mask ^= 1 << (top - 1)
-        grades[len(face) - 1].append(tuple(face))
-    return GradedFaces(edge_order=tuple(edge_order), grades=tuple(map(tuple, grades)))
+    grades: list[list[int]] = [[] for _ in range(g.n_vertices - 1)]
+    for mask in reversed(kernels.forest_masks(g.n_edges, us, vs, g.n_vertices)):
+        grades[mask.bit_count() - 1].append(mask)
+    return GradedFaces(edge_order=edge_order, grades=tuple(map(tuple, grades)))
 
 
 def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
@@ -134,12 +130,17 @@ def _boundary_columns(
     faces: GradedFaces, i: int, skip: Collection[int]
 ) -> Iterator[dict[int, int]]:
     """Yield the column ``{row: +-1}`` of each i-face not in ``skip``, in
-    order; the row index and the signs are built once per grade."""
+    order.  Dropping the p-th edge in global order (the p-th set bit from
+    the top) gives the row with sign (-1)^p."""
     row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
-    signs = [-1 if p % 2 else 1 for p in range(i + 1)]
     for c, face in enumerate(faces.grades[i]):
         if c not in skip:
-            yield {row_index[face[:p] + face[p + 1 :]]: signs[p] for p in range(i + 1)}
+            column, sign, rest = {}, 1, face
+            while rest:
+                bit = 1 << (rest.bit_length() - 1)
+                column[row_index[face ^ bit]] = sign
+                sign, rest = -sign, rest ^ bit
+            yield column
 
 
 def betti_numbers(g: Multigraph, budget: int = DEFAULT_BUDGET) -> BettiProfile:

@@ -342,6 +342,8 @@ def multigraph_from_json(text: str) -> Multigraph:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     for key in ("vertices", "edges"):
@@ -378,4 +380,8 @@ def multigraph_from_json(text: str) -> Multigraph:
 
 def load_graph_file(path) -> Multigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return multigraph_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"graph file is not UTF-8: invalid byte at offset {exc.start}") from exc
+    return multigraph_from_json(text)

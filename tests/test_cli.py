@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 
@@ -217,6 +218,30 @@ def test_homology_dump_matrices_repeatable(capsys, tmp_path):
     assert dumps[0] == dumps[1]
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
+    # pins the face order, the signs and the report, not just repeatability
+    code, _, _ = run_cli(capsys, "homology", FIG1, "--dump-matrices", str(tmp_path))
+    assert code == 0
+    assert _sha256((tmp_path / "boundary_1.txt").read_bytes()) == (
+        "d0837df92dc90b5158670a9c464dbf5892d1dbf941e3ade2b73afde1412c5afb"
+    )
+    assert _sha256((tmp_path / "boundary_2.txt").read_bytes()) == (
+        "2b176fa01f14fbee79c41f88668fd3366c085d3c7a1056b1e22c7d1983035f08"
+    )
+    code, out, _ = run_cli(capsys, "analyze", FIG1, "--json")
+    assert code == 0
+    # FIG1 is an absolute path, so input.path is masked
+    assert out.count(json.dumps(FIG1)) == 1
+    masked = out.replace(json.dumps(FIG1), '"<path>"')
+    assert _sha256(masked.encode()) == (
+        "a5002140e264ddd52cf7e8623685c805eca60ae89b2dcba2659d76085057971d"
+    )
+
+
 def test_random_suite_small(capsys):
     code, out, _ = run_cli(
         capsys, "random-suite", "--seed", "7", "--count", "8", "--max-edges", "10"
@@ -268,6 +293,9 @@ INVALID_GRAPHS = {
         {"vertices": ["a", "b", "c"], "edges": [{"id": "e1", "ends": ["a", "b"]}]},
         "error: vertex 'c' is unreachable",
     ),
+    # raw bytes are written to the file as they are
+    "not_utf8": (b"\xff\xfe{}", "error: graph file is not UTF-8: invalid byte at offset 0"),
+    "too_deep": (b"[" * 200000, "error: invalid JSON: nested too deeply"),
 }
 
 
@@ -276,7 +304,10 @@ INVALID_GRAPHS = {
 def test_invalid_graph_file_is_input_error(capsys, tmp_path, command, defect):
     doc, message = INVALID_GRAPHS[defect]
     path = tmp_path / f"{defect}.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     assert run_cli(capsys, command, str(path)) == (2, "", message + "\n")
 
 

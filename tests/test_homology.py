@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from spancomplex import (
     betti_numbers,
@@ -16,7 +17,7 @@ from spancomplex.kernels.pyref import matrix_rank
 
 import bruteforce
 from bruteforce import dense
-from conftest import SIX_PENDANTS, make_doubled_six_cycle
+from conftest import SIX_PENDANTS, connected_multigraphs, make_doubled_six_cycle
 
 
 def test_graded_sizes(fig1, triangle, c211):
@@ -37,7 +38,7 @@ def test_grades_hold_every_forest_in_global_order(fig1, triangle, c211, theta, s
         assert faces.sizes() == bruteforce.forest_counts(g)
         pos = {e: i for i, e in enumerate(faces.edge_order)}
         for grade in faces.grades:
-            keys = [tuple(pos[e] for e in face) for face in grade]
+            keys = [tuple(pos[e] for e in faces.names(face)) for face in grade]
             assert all(list(key) == sorted(key) for key in keys)
             assert keys == sorted(set(keys))
 
@@ -45,8 +46,8 @@ def test_grades_hold_every_forest_in_global_order(fig1, triangle, c211, theta, s
 def test_boundary_2_column_fig1(fig1):
     faces = graded_faces(fig1)
     bm = boundary_matrix(faces, 2)
-    col = faces.grades[2].index(("e21", "e31", "e41"))
-    rows = {f: r for r, f in enumerate(faces.grades[1])}
+    col = [faces.names(f) for f in faces.grades[2]].index(("e21", "e31", "e41"))
+    rows = {faces.names(f): r for r, f in enumerate(faces.grades[1])}
     column = bm.columns[col]
     assert column[rows[("e31", "e41")]] == 1
     assert column[rows[("e21", "e41")]] == -1
@@ -57,8 +58,8 @@ def test_boundary_2_column_fig1(fig1):
 def test_boundary_1_column_fig1(fig1):
     faces = graded_faces(fig1)
     bm = boundary_matrix(faces, 1)
-    col = faces.grades[1].index(("e11", "e21"))
-    rows = {f: r for r, f in enumerate(faces.grades[0])}
+    col = [faces.names(f) for f in faces.grades[1]].index(("e11", "e21"))
+    rows = {faces.names(f): r for r, f in enumerate(faces.grades[0])}
     column = bm.columns[col]
     assert column[rows[("e21",)]] == 1
     assert column[rows[("e11",)]] == -1
@@ -179,6 +180,25 @@ def test_sparse_ranks_match_dense(fig1, triangle, c211, theta, suite_graphs):
         assert profile.boundary_ranks[0] == 0
         for i in range(1, faces.dim + 1):
             assert profile.boundary_ranks[i] == matrix_rank(dense(boundary_matrix(faces, i)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=8, max_rank=3))
+def test_homology_route_on_random_multigraphs(g):
+    # reaches graphs that are not uni-cyclic, whose faces use input order
+    faces = graded_faces(g)
+    assert faces.sizes() == bruteforce.forest_counts(g)
+    profile = betti_from_faces(faces)
+    for i in range(1, faces.dim + 1):
+        bm = boundary_matrix(faces, i)
+        assert profile.boundary_ranks[i] == bruteforce.rank_over_rationals(dense(bm))
+    # a matroid complex is a wedge of |chi - 1| top spheres (Bjorner 1992)
+    d = faces.dim
+    if d == 0:
+        assert profile.ranks == faces.sizes()
+    else:
+        chi = euler_characteristic(f_vector_bruteforce(g))
+        assert profile.ranks == (1,) + (0,) * (d - 1) + (abs(chi - 1),)
 
 
 @pytest.mark.parametrize(
