@@ -135,29 +135,21 @@ def _assert_bond(n: int, us, vs, cut: list[int], ids) -> None:
 def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[VertexCover]:
     """Minimal vertex covers of a uni-cyclic layout, by family.
 
-    Five families, each emitted only when its index range is non-empty:
-    every single edge outside the cycle on its own; a full multiple cycle
-    class plus one single cycle edge; a pair of single cycle edges; a
-    pair of full multiple cycle classes; a full multiple class outside
-    the cycle.
+    Five families, disjoint by what their covers hold: every single edge
+    outside the cycle on its own; a full multiple cycle class plus one
+    single cycle edge; a pair of single cycle edges; a pair of full
+    multiple cycle classes; a full multiple class outside the cycle.  Each
+    cover is built once, from its one choice in its one family.
     """
     singles = [c.members[0] for c in layout.single_cycle_classes]
     multis = [c.members for c in layout.multiple_cycle_classes]
-    covers: set[tuple[str, ...]] = set()
-
-    for e in layout.outside_single_edges:
-        covers.add((e,))
-    for cls in multis:
-        for s in singles:
-            covers.add(tuple(sorted(cls + (s,))))
-    for s, t in combinations(singles, 2):
-        covers.add(tuple(sorted((s, t))))
-    for cls_a, cls_b in combinations(multis, 2):
-        covers.add(tuple(sorted(cls_a + cls_b)))
-    for cls in layout.outside_multiple_classes:
-        covers.add(tuple(sorted(cls.members)))
-
-    return sorted((VertexCover(c) for c in covers), key=_cover_sort_key)
+    covers = [VertexCover((e,)) for e in layout.outside_single_edges]
+    covers += [VertexCover.of(cls + (s,)) for cls in multis for s in singles]
+    covers += [VertexCover.of(pair) for pair in combinations(singles, 2)]
+    covers += [VertexCover.of(a + b) for a, b in combinations(multis, 2)]
+    covers += [VertexCover.of(c.members) for c in layout.outside_multiple_classes]
+    covers.sort(key=_cover_sort_key)
+    return covers
 
 
 def facet_ideal(facets) -> MonomialIdealView:

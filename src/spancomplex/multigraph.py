@@ -344,6 +344,10 @@ def multigraph_from_json(text: str) -> Multigraph:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError("invalid JSON: nested too deeply") from exc
+    except SchemaError:
+        raise
+    except ValueError as exc:  # past Python's limit on digits in an int
+        raise SchemaError("invalid JSON: an integer literal has too many digits") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     for key in ("vertices", "edges"):

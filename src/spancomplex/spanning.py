@@ -31,26 +31,22 @@ class Facet:
 def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[Facet]:
     """All spanning trees of a uni-cyclic multigraph, by direct construction.
 
-    Pick one representative from every multiple class (on and off the
-    cycle), keep all single edges, then delete one edge of the resulting
-    cycle; the deleted cycle edge must be the representative that was
-    picked for its class.  Equal edge sets arising from different picks
-    collapse.  Output is sorted lexicographically.
+    A spanning tree leaves out one whole cycle class and keeps one edge of
+    every other class, on and off the cycle; a single edge outside the
+    cycle is a class of one.  Each choice of the omitted class and the kept
+    edges builds one tree, and different choices build different trees.
+    Output is sorted lexicographically.
     """
-    single_edges = [c.members[0] for c in layout.single_cycle_classes]
-    single_edges += list(layout.outside_single_edges)
-    cyc_multi = [c.members for c in layout.multiple_cycle_classes]
-    out_multi = [c.members for c in layout.outside_multiple_classes]
-
-    trees: set[tuple[str, ...]] = set()
-    for cyc_pick in product(*cyc_multi):
-        # cycle edges present before the deletion step
-        cycle_edges = list(cyc_pick) + [c.members[0] for c in layout.single_cycle_classes]
-        for out_pick in product(*out_multi):
-            base = set(cyc_pick) | set(out_pick) | set(single_edges)
-            for deleted in cycle_edges:
-                trees.add(tuple(sorted(base - {deleted})))
-    return [Facet(t) for t in sorted(trees)]
+    cycle = [c.members for c in layout.cycle_classes]
+    outside = [c.members for c in layout.outside_multiple_classes]
+    outside += [(e,) for e in layout.outside_single_edges]
+    facets = [
+        Facet.of(pick)
+        for w in range(layout.m)
+        for pick in product(*cycle[:w], *cycle[w + 1 :], *outside)
+    ]
+    facets.sort()
+    return facets
 
 
 def enumerate_spanning_trees_generic(g: Multigraph) -> list[Facet]:

@@ -81,6 +81,28 @@ def make_doubled_six_cycle(extra):
 SIX_PENDANTS = [(f"p{i}", i, 1) for i in range(6)]
 
 
+def layout_graph(cycle_sizes, outside_sizes=(), pendants=0):
+    """A uni-cyclic multigraph with the given cycle and outside class sizes.
+
+    Outside classes and pendant edges hang off a path of fresh leaves
+    from the first cycle vertex, so every one is a bridge.
+    """
+    m = len(cycle_sizes)
+    vertices = [f"v{i}" for i in range(m)]
+    edges = [
+        (f"c{i}_{k}", (vertices[i], vertices[(i + 1) % m]))
+        for i, size in enumerate(cycle_sizes)
+        for k in range(size)
+    ]
+    tip = vertices[0]
+    for j, size in enumerate(list(outside_sizes) + [1] * pendants):
+        leaf = f"w{j}"
+        vertices.append(leaf)
+        edges.extend((f"b{j}_{k}", (tip, leaf)) for k in range(size))
+        tip = leaf
+    return build_multigraph(vertices, edges)
+
+
 @pytest.fixture
 def fig1():
     return make_fig1()
@@ -127,5 +149,26 @@ def connected_multigraphs(draw, max_edges=12, max_rank=None):
     pairs = draw(st.permutations(pairs))
     ids = draw(st.permutations(range(len(pairs))))
     names = draw(st.permutations([f"x{v}" for v in range(n)]))
+    edges = [(f"e{k:02d}", (names[u], names[w])) for k, (u, w) in zip(ids, pairs)]
+    return build_multigraph(sorted(names), edges)
+
+
+@st.composite
+def unicyclic_multigraphs(draw, cycle_sizes, outside_sizes=()):
+    """Uni-cyclic multigraphs with the given cycle and outside class sizes.
+
+    The cycle classes follow ``cycle_sizes`` around the cycle.  Each outside
+    class joins a fresh leaf to a vertex drawn from those already present,
+    on the cycle or a leaf hung before it, so the outside trees branch
+    anywhere.  Edge input order, edge ids and vertex order are each drawn
+    independently, which reaches the tie-breaks of the canonical layout.
+    """
+    m = len(cycle_sizes)
+    pairs = [(i, (i + 1) % m) for i, size in enumerate(cycle_sizes) for _ in range(size)]
+    for leaf, size in enumerate(outside_sizes, start=m):
+        pairs += [(draw(st.integers(0, leaf - 1)), leaf)] * size
+    pairs = draw(st.permutations(pairs))
+    ids = draw(st.permutations(range(len(pairs))))
+    names = draw(st.permutations([f"x{v}" for v in range(m + len(outside_sizes))]))
     edges = [(f"e{k:02d}", (names[u], names[w])) for k, (u, w) in zip(ids, pairs)]
     return build_multigraph(sorted(names), edges)

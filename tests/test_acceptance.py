@@ -5,10 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import contextlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import spancomplex
 from spancomplex import (
     boundary_matrix,
     build_multigraph,
@@ -198,8 +201,11 @@ def test_criterion_6_determinism():
             str(FIXTURES / "u_7_3_2.json"),
             "--json",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        # the child imports the package this suite imported, installed or not
+        paths = [str(Path(spancomplex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout
         doc = json.loads(first.stdout)

@@ -296,6 +296,15 @@ INVALID_GRAPHS = {
     # raw bytes are written to the file as they are
     "not_utf8": (b"\xff\xfe{}", "error: graph file is not UTF-8: invalid byte at offset 0"),
     "too_deep": (b"[" * 200000, "error: invalid JSON: nested too deeply"),
+    # past Python's 4300-digit limit on parsing an int
+    "long_int": (
+        b'{"vertices": ["a", "b"], "edges": [], "x": ' + b"1" * 5000 + b"}",
+        "error: invalid JSON: an integer literal has too many digits",
+    ),
+    "long_int_in_ends": (
+        b'{"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", ' + b"1" * 5000 + b"]}]}",
+        "error: invalid JSON: an integer literal has too many digits",
+    ),
 }
 
 

@@ -24,6 +24,7 @@ from spancomplex.fvector import (
 )
 
 import bruteforce
+from conftest import layout_graph, unicyclic_multigraphs
 
 
 @pytest.mark.parametrize(
@@ -176,28 +177,6 @@ def _paper_term_literal(layout, i):
     return total
 
 
-def layout_graph(cycle_sizes, outside_sizes=(), pendants=0):
-    """A uni-cyclic multigraph with the given cycle and outside class sizes.
-
-    Outside classes and pendant edges hang off a path of fresh leaves
-    from the first cycle vertex, so every one is a bridge.
-    """
-    m = len(cycle_sizes)
-    vertices = [f"v{i}" for i in range(m)]
-    edges = [
-        (f"c{i}_{k}", (vertices[i], vertices[(i + 1) % m]))
-        for i, size in enumerate(cycle_sizes)
-        for k in range(size)
-    ]
-    tip = vertices[0]
-    for j, size in enumerate(list(outside_sizes) + [1] * pendants):
-        leaf = f"w{j}"
-        vertices.append(leaf)
-        edges.extend((f"b{j}_{k}", (tip, leaf)) for k in range(size))
-        tip = leaf
-    return build_multigraph(vertices, edges)
-
-
 def face_polynomial(cycle_sizes, outside_sizes=(), pendants=0):
     """Coefficients of prod_classes(1 + s t) - (prod_cycle s) t^m prod_outside(1 + s t).
 
@@ -308,9 +287,10 @@ def test_closed_form_equals_face_polynomial_beyond_budget(cycle_sizes, outside_s
     cycle_sizes=st.lists(st.integers(1, 5), min_size=3, max_size=8),
     outside_sizes=st.lists(st.integers(2, 5), max_size=4),
     pendants=st.integers(0, 4),
+    data=st.data(),
 )
-def test_closed_form_property(cycle_sizes, outside_sizes, pendants):
-    g = layout_graph(cycle_sizes, outside_sizes, pendants)
+def test_closed_form_property(cycle_sizes, outside_sizes, pendants, data):
+    g = data.draw(unicyclic_multigraphs(cycle_sizes, outside_sizes + [1] * pendants))
     lay = recognize_unicyclic(g)
     poly = face_polynomial(cycle_sizes, outside_sizes, pendants)
     fv = f_vector_closed_form(lay)

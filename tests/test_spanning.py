@@ -1,20 +1,26 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancomplex import (
     Facet,
     build_multigraph,
     count_spanning_trees_layout,
+    dimension,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_layout,
     kernels,
+    minimal_vertex_covers_closed_form,
+    minimal_vertex_covers_generic,
     parallel_classes,
     recognize_unicyclic,
 )
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
-from conftest import connected_multigraphs
+from conftest import connected_multigraphs, layout_graph, unicyclic_multigraphs
 
 # the fourteen spanning trees of the worked example, frozen
 FIG1_TREES = [
@@ -173,3 +179,54 @@ def test_generic_property_on_any_connected_multigraph(g):
     facets = enumerate_spanning_trees_generic(g)
     assert as_sets(facets) == bruteforce.spanning_trees(g)
     assert facets == sorted(set(facets))
+
+
+def sizes_within(sizes, budget):
+    """The longest prefix of ``sizes`` whose sum is at most ``budget``."""
+    for k in range(len(sizes)):
+        budget -= sizes[k]
+        if budget < 0:
+            return sizes[:k]
+    return sizes
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    cycle_sizes=st.lists(st.integers(1, 4), min_size=3, max_size=6),
+    outside_sizes=st.lists(st.integers(1, 3), max_size=5),
+    data=st.data(),
+)
+def test_closed_form_lists_equal_oracles(cycle_sizes, outside_sizes, data):
+    # at most 14 edges: three cycle classes (12 at most), then the outside
+    # classes and then the other cycle classes, as far as they fit
+    budget = 14 - sum(cycle_sizes[:3])
+    outside_sizes = sizes_within(outside_sizes, budget)
+    cycle_sizes = cycle_sizes[:3] + sizes_within(cycle_sizes[3:], budget - sum(outside_sizes))
+    g = data.draw(unicyclic_multigraphs(cycle_sizes, outside_sizes))
+    lay = recognize_unicyclic(g)
+    facets = enumerate_spanning_trees_layout(lay)
+    assert facets == enumerate_spanning_trees_generic(g)
+    assert len(facets) == count_spanning_trees_layout(lay)
+    assert minimal_vertex_covers_closed_form(lay) == minimal_vertex_covers_generic(g)
+
+
+def test_closed_form_lists_past_the_enumeration_budget():
+    lay = recognize_unicyclic(layout_graph([2] * 9 + [1] * 6, [2, 2], 3))
+    assert lay.n == 31  # no oracle runs past 24 edges
+    facets = enumerate_spanning_trees_layout(lay)
+    assert len(set(facets)) == len(facets) == count_spanning_trees_layout(lay) == 21504
+    for f in facets:
+        ids = set(f.edge_ids)
+        assert len(ids) == dimension(lay) + 1
+        kept = sorted(len(ids & set(c.members)) for c in lay.cycle_classes)
+        assert kept == [0] + [1] * (lay.m - 1)  # one whole cycle class left out
+        for c in lay.outside_multiple_classes:
+            assert len(ids & set(c.members)) == 1
+        assert ids >= set(lay.outside_single_edges)
+
+    covers = minimal_vertex_covers_closed_form(lay)
+    singles = lay.m - lay.r_prime
+    families = (
+        lay.v + lay.r_prime * singles + comb(singles, 2) + comb(lay.r_prime, 2) + lay.r_dprime
+    )
+    assert len(set(covers)) == len(covers) == families == 110
