@@ -37,12 +37,8 @@ from .homology import (
     graded_faces,
 )
 from .ideal import (
-    MonomialIdealView,
-    VertexCover,
-    facet_ideal,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
-    primary_decomposition,
 )
 from .multigraph import (
     Multigraph,
@@ -55,7 +51,6 @@ from .multigraph import (
     recognize_unicyclic,
 )
 from .spanning import (
-    Facet,
     count_spanning_trees_layout,
     enumerate_spanning_trees_generic,
     enumerate_spanning_trees_layout,
@@ -73,11 +68,9 @@ __all__ = [
     "DuplicateEdgeIdError",
     "EmptyGraphError",
     "FVector",
-    "Facet",
     "GradedFaces",
     "GraphValidationError",
     "LoopEdgeError",
-    "MonomialIdealView",
     "Multigraph",
     "NotUnicyclicError",
     "ParallelClass",
@@ -85,7 +78,6 @@ __all__ = [
     "SpanComplexError",
     "UnicyclicLayout",
     "UnknownEndpointError",
-    "VertexCover",
     "betti_numbers",
     "binomial",
     "boundary_matrix",
@@ -98,14 +90,12 @@ __all__ = [
     "enumerate_spanning_trees_layout",
     "f_vector_bruteforce",
     "f_vector_closed_form",
-    "facet_ideal",
     "graded_faces",
     "load_graph_file",
     "minimal_vertex_covers_closed_form",
     "minimal_vertex_covers_generic",
     "multigraph_from_json",
     "parallel_classes",
-    "primary_decomposition",
     "recognize_unicyclic",
     "run_analyze",
     "run_verify",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import kernels
 from .errors import NotUnicyclicError
 from .fvector import (
     DEFAULT_BUDGET,
@@ -23,19 +22,14 @@ from .fvector import (
 )
 from .homology import BettiProfile, betti_from_faces, euler_from_betti, graded_faces
 from .ideal import (
-    MonomialIdealView,
-    VertexCover,
-    facet_ideal,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
-    primary_decomposition,
+    render_decomposition,
 )
 from .multigraph import Multigraph, UnicyclicLayout, recognize_unicyclic
-from .spanning import (
-    Facet,
-    count_spanning_trees_layout,
-    enumerate_spanning_trees_layout,
-)
+from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
+
+EdgeSets = list[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -70,26 +64,25 @@ class AnalysisReport:
     layout_note: str | None = None
     dim: int | None = None
     count_closed_form: int | None = None
-    facets_closed_form: list[Facet] | None = None
-    facets_generic: list[Facet] | None = None
+    facets_closed_form: EdgeSets | None = None
+    facets_generic: EdgeSets | None = None
     f_closed_form: FVector | None = None
     f_bruteforce: FVector | None = None
     euler_closed_form: int | None = None
     euler_bruteforce: int | None = None
     euler_betti: int | None = None
     betti: BettiProfile | None = None
-    covers_closed_form: list[VertexCover] | None = None
-    covers_generic: list[VertexCover] | None = None
-    ideal: MonomialIdealView | None = None
+    covers_closed_form: EdgeSets | None = None
+    covers_generic: EdgeSets | None = None
     discrepancies: list[Discrepancy] = field(default_factory=list)
 
     @property
-    def facets(self) -> list[Facet] | None:
+    def facets(self) -> EdgeSets | None:
         """Canonical facet list: the oracle's when it ran, else closed form."""
         return self.facets_generic if self.facets_generic is not None else self.facets_closed_form
 
     @property
-    def covers(self) -> list[VertexCover] | None:
+    def covers(self) -> EdgeSets | None:
         return self.covers_generic if self.covers_generic is not None else self.covers_closed_form
 
     def to_json_dict(self) -> dict:
@@ -120,7 +113,7 @@ class AnalysisReport:
         facets = self.facets
         covers = self.covers
         return {
-            "schema": "spancomplex/analysis-v1",
+            "schema": "spancomplex/analysis-v2",
             "input": {
                 "path": self.path,
                 "fingerprint": self.fingerprint,
@@ -130,7 +123,6 @@ class AnalysisReport:
             "settings": {
                 "budget": self.budget,
                 "oracle": self.oracle_enabled,
-                "kernel_backend": kernels.BACKEND,
             },
             "layout": layout,
             "layout_note": self.layout_note,
@@ -140,7 +132,7 @@ class AnalysisReport:
                 "count_closed_form": (
                     str(self.count_closed_form) if self.count_closed_form is not None else None
                 ),
-                "facets": [list(f.edge_ids) for f in facets] if facets is not None else None,
+                "facets": facets,
             },
             "f_vector": {
                 "closed_form": _fv_json(self.f_closed_form),
@@ -160,8 +152,7 @@ class AnalysisReport:
                     "grade_sizes": _fv_json(self.f_bruteforce),
                 }
             ),
-            "covers": [list(c.edge_ids) for c in covers] if covers is not None else None,
-            "ideal": self.ideal.to_json_dict() if self.ideal is not None else None,
+            "covers": covers,
             "discrepancies": [d.to_json_dict() for d in self.discrepancies],
         }
 
@@ -208,13 +199,11 @@ class AnalysisReport:
                 lines.append("boundary ranks: " + ranks)
         covers = self.covers
         if covers is not None:
-            rendered = " ".join("{" + ",".join(c.edge_ids) + "}" for c in covers)
+            rendered = " ".join("{" + ",".join(c) + "}" for c in covers)
             lines.append(f"minimal covers ({len(covers)}): {rendered}")
-        if self.ideal is not None:
-            if self.ideal.generators:
-                lines.append(f"facet ideal generators: {len(self.ideal.generators)}")
-            if self.ideal.components:
-                lines.append("primary decomposition: " + self.ideal.render_decomposition())
+        if facets is not None and covers is not None:
+            lines.append(f"facet ideal generators: {len(facets)}")
+            lines.append("primary decomposition: " + render_decomposition(covers))
         if self.discrepancies:
             lines.append(f"discrepancies: {len(self.discrepancies)}")
             for d in self.discrepancies:
@@ -278,22 +267,14 @@ def run_analyze(
     if not no_oracle:
         faces = graded_faces(g, budget=budget)
         # g is connected, so its largest forests are its spanning trees
-        report.facets_generic = sorted(Facet.of(faces.names(f)) for f in faces.grades[-1])
+        report.facets_generic = sorted(tuple(sorted(faces.names(f))) for f in faces.grades[-1])
         report.f_bruteforce = FVector(faces.sizes())
         report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         report.betti = betti_from_faces(faces)
         report.euler_betti = euler_from_betti(report.betti)
         report.covers_generic = minimal_vertex_covers_generic(g)
         if report.dim is None:
-            report.dim = len(report.facets_generic[0].edge_ids) - 1
-
-    facets = report.facets
-    covers = report.covers
-    if facets is not None and covers is not None:
-        report.ideal = MonomialIdealView(
-            generators=facet_ideal(facets).generators,
-            components=primary_decomposition(covers).components,
-        )
+            report.dim = len(report.facets_generic[0]) - 1
 
     report.discrepancies = _cross_checks(report, tail)
     return report
@@ -315,13 +296,13 @@ def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
         if report.facets_closed_form != report.facets_generic:
             fail(
                 "facets:closed-form-vs-generic",
-                [list(f.edge_ids) for f in report.facets_generic],
-                [list(f.edge_ids) for f in report.facets_closed_form],
+                [list(f) for f in report.facets_generic],
+                [list(f) for f in report.facets_closed_form],
             )
     if report.count_closed_form is not None and report.facets_closed_form is not None:
         enumerated = len(report.facets_generic or report.facets_closed_form)
         if report.count_closed_form != enumerated:
-            fail("count:closed-form-vs-enumeration", enumerated, report.count_closed_form)
+            fail("count:closed-form-vs-enumeration", str(enumerated), str(report.count_closed_form))
     if report.f_closed_form is not None and report.f_bruteforce is not None:
         if report.f_closed_form.counts != report.f_bruteforce.counts:
             fail(
@@ -330,13 +311,13 @@ def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
                 [str(c) for c in report.f_closed_form.counts],
             )
     if any(tail):
-        fail("fvector:tail-zero", [0] * len(tail), tail)
+        fail("fvector:tail-zero", ["0"] * len(tail), [str(t) for t in tail])
     if report.covers_closed_form is not None and report.covers_generic is not None:
         if report.covers_closed_form != report.covers_generic:
             fail(
                 "covers:closed-form-vs-generic",
-                [list(c.edge_ids) for c in report.covers_generic],
-                [list(c.edge_ids) for c in report.covers_closed_form],
+                [list(c) for c in report.covers_generic],
+                [list(c) for c in report.covers_closed_form],
             )
     eulers = {
         name: val
@@ -349,5 +330,5 @@ def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
     }
     if len(set(eulers.values())) > 1:
         reference = report.euler_bruteforce
-        fail("euler:all-routes-agree", reference, {k: str(v) for k, v in eulers.items()})
+        fail("euler:all-routes-agree", _int_json(reference), {k: str(v) for k, v in eulers.items()})
     return out

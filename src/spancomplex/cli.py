@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fvector import DEFAULT_BUDGET, require_budget
 from .homology import betti_from_faces, boundary_matrix, euler_from_betti, graded_faces
-from .ideal import facet_ideal, minimal_vertex_covers_generic, primary_decomposition
+from .ideal import minimal_vertex_covers_generic, render_decomposition
 from .kernels import MAX_EDGES
 from .multigraph import Multigraph, load_graph_file
 from .randomgraphs import random_suite
@@ -74,10 +74,10 @@ def cmd_facets(args) -> int:
     require_budget(g.n_edges, args.budget, "spanning tree enumeration")
     facets = enumerate_spanning_trees_generic(g)
     if args.json:
-        _emit_json([list(f.edge_ids) for f in facets])
+        _emit_json(facets)
     else:
         for f in facets:
-            sys.stdout.write(" ".join(f.edge_ids) + "\n")
+            sys.stdout.write(" ".join(f) + "\n")
     return 0
 
 
@@ -85,16 +85,14 @@ def cmd_covers(args) -> int:
     g = parse_graph_file(args.path)
     require_budget(g.n_edges, args.budget, "spanning tree enumeration")
     covers = minimal_vertex_covers_generic(g)
-    decomp = primary_decomposition(covers)
     if args.json:
-        # only the JSON view lists the ideal's generators, one per spanning tree
-        view = facet_ideal(enumerate_spanning_trees_generic(g))
-        _emit_json({"generators": [list(x) for x in view.generators],
-                    "components": [list(x) for x in decomp.components]})
+        # the facet ideal: one generator per spanning tree, one prime per
+        # minimal cover; only the JSON view lists the generators
+        _emit_json({"generators": enumerate_spanning_trees_generic(g), "components": covers})
     else:
         for c in covers:
-            sys.stdout.write(" ".join(c.edge_ids) + "\n")
-        sys.stdout.write("decomposition: " + decomp.render_decomposition() + "\n")
+            sys.stdout.write(" ".join(c) + "\n")
+        sys.stdout.write("decomposition: " + render_decomposition(covers) + "\n")
     return 0
 
 

@@ -1,67 +1,32 @@
-"""Facet ideal, minimal vertex covers and primary decomposition.
+"""Minimal vertex covers, and the facet ideal's primary decomposition.
 
 Vertices of the complex are the edges of the multigraph, so a vertex
 cover is an edge set meeting every spanning tree, which is one whose
-deletion disconnects the graph: the minimal covers are its bonds.  The
-facet ideal has one squarefree generator per facet and one minimal prime
-per minimal cover, which gives its primary decomposition combinatorially.
+deletion disconnects the graph: the minimal covers are its bonds.  A
+cover, like a facet, is its sorted edge-id tuple.  The facet ideal has
+one squarefree generator per facet and one minimal prime per minimal
+cover, so its generators are the spanning tree list and its primary
+decomposition is the cover list; ``render_decomposition`` writes the
+latter as an intersection of primes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
 
 
-@dataclass(frozen=True, order=True)
-class VertexCover:
-    """An inclusion-minimal edge set meeting every facet."""
-
-    edge_ids: tuple[str, ...]
-
-    @staticmethod
-    def of(ids) -> "VertexCover":
-        return VertexCover(tuple(sorted(ids)))
+def render_decomposition(covers) -> str:
+    """The primary decomposition, one prime (x_{a},x_{b},…) per cover, joined by ∩."""
+    return " ∩ ".join("(" + ",".join("x_{%s}" % e for e in c) + ")" for c in covers)
 
 
-@dataclass(frozen=True)
-class MonomialIdealView:
-    """Rendering-oriented view of the facet ideal.
-
-    ``generators`` holds one sorted edge-id tuple per facet;
-    ``components`` one per minimal prime (= minimal vertex cover).
-    Either may be empty when only the other side was computed.
-    """
-
-    generators: tuple[tuple[str, ...], ...] = ()
-    components: tuple[tuple[str, ...], ...] = ()
-
-    def render_generators(self) -> str:
-        mons = ["".join(_variable(e) for e in gen) for gen in self.generators]
-        return "⟨" + ", ".join(mons) + "⟩"
-
-    def render_decomposition(self) -> str:
-        primes = ["(" + ",".join(_variable(e) for e in comp) + ")" for comp in self.components]
-        return " ∩ ".join(primes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": [list(g) for g in self.generators],
-            "components": [list(c) for c in self.components],
-        }
+def _cover_sort_key(c: tuple[str, ...]):
+    return (len(c), c)
 
 
-def _variable(edge_id: str) -> str:
-    return "x_{%s}" % edge_id
-
-
-def _cover_sort_key(c: VertexCover):
-    return (len(c.edge_ids), c.edge_ids)
-
-
-def minimal_vertex_covers_generic(g: Multigraph) -> list[VertexCover]:
+def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
     """The minimal vertex covers of the complex: the bonds of ``g``, the
     cuts δ(S) with S and V∖S both connected, each re-verified on ``g``.
 
@@ -74,7 +39,7 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[VertexCover]:
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
     nbrs = _neighbour_masks(g.n_vertices, us, vs, removed=())
-    covers: list[VertexCover] = []
+    covers: list[tuple[str, ...]] = []
 
     def one_component(s: int, excluded: int) -> bool:
         return not excluded & ~_flood(nbrs, excluded & -excluded, ~s)
@@ -92,7 +57,7 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[VertexCover]:
         elif excluded:
             cut = [e for e, (a, b) in enumerate(zip(us, vs)) if (s >> a ^ s >> b) & 1]
             _assert_bond(g.n_vertices, us, vs, cut, ids)
-            covers.append(VertexCover.of(ids[e] for e in cut))
+            covers.append(tuple(sorted(ids[e] for e in cut)))
     return sorted(covers, key=_cover_sort_key)
 
 
@@ -132,7 +97,7 @@ def _assert_bond(n: int, us, vs, cut: list[int], ids) -> None:
             raise AssertionError(f"{[ids[e] for e in cut]} is not minimal: {ids[e]} is redundant")
 
 
-def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[VertexCover]:
+def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[tuple[str, ...]]:
     """Minimal vertex covers of a uni-cyclic layout, by family.
 
     Five families, disjoint by what their covers hold: every single edge
@@ -143,30 +108,11 @@ def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[VertexCov
     """
     singles = [c.members[0] for c in layout.single_cycle_classes]
     multis = [c.members for c in layout.multiple_cycle_classes]
-    covers = [VertexCover((e,)) for e in layout.outside_single_edges]
-    covers += [VertexCover.of(cls + (s,)) for cls in multis for s in singles]
-    covers += [VertexCover.of(pair) for pair in combinations(singles, 2)]
-    covers += [VertexCover.of(a + b) for a, b in combinations(multis, 2)]
-    covers += [VertexCover.of(c.members) for c in layout.outside_multiple_classes]
+    covers = [(e,) for e in layout.outside_single_edges]
+    covers += [tuple(sorted(cls + (s,))) for cls in multis for s in singles]
+    covers += [tuple(sorted(pair)) for pair in combinations(singles, 2)]
+    covers += [tuple(sorted(a + b)) for a, b in combinations(multis, 2)]
+    covers += [tuple(sorted(c.members)) for c in layout.outside_multiple_classes]
     covers.sort(key=_cover_sort_key)
     return covers
 
-
-def facet_ideal(facets) -> MonomialIdealView:
-    """One squarefree monomial generator per facet, in canonical order."""
-    facets = sorted(facets)
-    if not facets:
-        raise ValueError("facet set is empty")
-    return MonomialIdealView(generators=tuple(f.edge_ids for f in facets))
-
-
-def primary_decomposition(covers) -> MonomialIdealView:
-    """One prime component per minimal vertex cover."""
-    ordered = sorted(covers, key=_cover_sort_key)
-    return MonomialIdealView(components=tuple(c.edge_ids for c in ordered))
-
-
-def monomial_divisible_by_some_generator(edge_subset, view: MonomialIdealView) -> bool:
-    """Squarefree membership test: some generator divides prod(x_e, e in subset)."""
-    s = set(edge_subset)
-    return any(set(gen) <= s for gen in view.generators)

@@ -7,9 +7,9 @@ spanning trees, with no detour through the other forests.
 
 ``pyref.matrix_rank`` stays only as the tests' dense reference rank,
 and because the benchmark's tracer (``perfbench/spans.py``) wraps it on
-every ``--trace 1`` run.  The harness also records ``BACKEND`` (the
-report's ``settings.kernel_backend`` too) and ``_corex``.  They go when
-the benchmark reads an in-package trace instead (ROADMAP item 3).
+every ``--trace 1`` run.  The harness also records ``BACKEND`` and
+``_corex``.  They go when the benchmark reads an in-package trace
+instead (ROADMAP item 4).
 """
 
 from . import pyref

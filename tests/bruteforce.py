@@ -75,7 +75,7 @@ def forest_counts(g) -> tuple[int, ...]:
 
 def minimal_covers(facets) -> set[frozenset]:
     """All minimal transversals, by exhaustive subset scan in size order."""
-    facet_sets = [set(f.edge_ids) for f in facets]
+    facet_sets = [set(f) for f in facets]
     universe = sorted({e for f in facet_sets for e in f})
     found: set[frozenset] = set()
     for size in range(1, len(universe) + 1):

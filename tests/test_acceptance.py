@@ -25,7 +25,7 @@ from spancomplex import (
 )
 from spancomplex.fvector import binomial, closed_form_tail
 from spancomplex.homology import betti_from_faces
-from spancomplex.ideal import facet_ideal
+from spancomplex.ideal import render_decomposition
 from spancomplex.spanning import enumerate_spanning_trees_generic
 
 import bruteforce
@@ -59,8 +59,8 @@ def test_criterion_1_golden_example(fig1):
         assert report.dim == 2
 
         expected_trees = {frozenset(t) for t in FIG1_TREES}
-        assert {frozenset(f.edge_ids) for f in report.facets_closed_form} == expected_trees
-        assert {frozenset(f.edge_ids) for f in report.facets_generic} == expected_trees
+        assert {frozenset(f) for f in report.facets_closed_form} == expected_trees
+        assert {frozenset(f) for f in report.facets_generic} == expected_trees
         assert len(report.facets) == 14
 
         assert report.f_closed_form.counts == (7, 17, 14)
@@ -72,16 +72,16 @@ def test_criterion_1_golden_example(fig1):
         nullity_d2 = report.f_bruteforce.counts[2] - report.betti.boundary_ranks[2]
         assert nullity_d2 == 3
 
-        assert {frozenset(c.edge_ids) for c in report.covers} == {
+        assert {frozenset(c) for c in report.covers} == {
             frozenset({"e41", "e42"}),
             frozenset({"e21", "e31"}),
             frozenset({"e11", "e12", "e13", "e21"}),
             frozenset({"e11", "e12", "e13", "e31"}),
         }
-        assert len(report.ideal.components) == 4
-        assert {frozenset(c) for c in report.ideal.components} == {
-            frozenset(c.edge_ids) for c in report.covers
-        }
+        # the facet ideal is the two lists: 14 generators, one prime per cover
+        text = report.render_text()
+        assert "facet ideal generators: 14\n" in text
+        assert "primary decomposition: " + render_decomposition(report.covers) + "\n" in text
         assert not report.discrepancies
         assert elapsed < 1.0
 
@@ -168,22 +168,20 @@ def test_criterion_5_ideal_membership(suite_graphs):
         assert small
         for g in small:
             facets = enumerate_spanning_trees_generic(g)
-            view = facet_ideal(facets)
+            # the facet ideal's generators are the spanning trees
             ids = g.edge_ids()
             index = {e: i for i, e in enumerate(ids)}
-            gen_masks = [
-                sum(1 << index[e] for e in gen) for gen in view.generators
-            ]
+            gen_masks = [sum(1 << index[e] for e in gen) for gen in facets]
             for mask in range(1, 1 << g.n_edges):
                 divisible = any(fm & mask == fm for fm in gen_masks)
                 subset = [ids[i] for i in range(g.n_edges) if mask >> i & 1]
                 assert divisible == bruteforce.spans(g, subset)
 
-            facet_sets = [set(f.edge_ids) for f in facets]
+            facet_sets = [set(f) for f in facets]
             from spancomplex.ideal import minimal_vertex_covers_generic
 
             for cover in minimal_vertex_covers_generic(g):
-                ids_set = set(cover.edge_ids)
+                ids_set = set(cover)
                 assert all(ids_set & fs for fs in facet_sets)
                 for e in ids_set:
                     rest = ids_set - {e}

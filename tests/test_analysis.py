@@ -1,5 +1,6 @@
 import pytest
 
+import spancomplex
 from spancomplex import build_multigraph, kernels, run_analyze
 from spancomplex.fvector import f_vector_bruteforce
 from spancomplex.spanning import enumerate_spanning_trees_generic
@@ -39,3 +40,12 @@ def test_run_analyze_rejects_budget_out_of_range(budget):
     with pytest.raises(ValueError, match=f"between 1 and 62, got {budget}"):
         run_analyze(_cycle(64), budget=budget)
 
+
+
+def test_package_exports_resolve():
+    assert len(set(spancomplex.__all__)) == len(spancomplex.__all__)
+    for name in spancomplex.__all__:
+        assert getattr(spancomplex, name) is not None, name
+    namespace = {}
+    exec("from spancomplex import *", namespace)
+    assert set(spancomplex.__all__) <= set(namespace)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from spancomplex import cli
+from spancomplex import analysis, cli
 from spancomplex.cli import main, parse_graph_file
 from spancomplex.errors import SchemaError
+from spancomplex.multigraph import multigraph_from_json
+from spancomplex.randomgraphs import random_suite
 
 from conftest import FIXTURES, SIX_PENDANTS, make_doubled_six_cycle
 
@@ -81,7 +83,11 @@ def test_analyze_json(capsys):
     assert doc["homology"]["betti"] == ["1", "0", "3"]
     assert doc["homology"]["boundary_ranks"] == ["0", "6", "11"]
     assert len(doc["covers"]) == 4
-    assert len(doc["ideal"]["generators"]) == 14
+    # the facet ideal is the facet list and the cover list, with no copy
+    assert doc["schema"] == "spancomplex/analysis-v2"
+    assert "ideal" not in doc
+    assert doc["settings"] == {"budget": 24, "oracle": True}
+    assert len(doc["spanning_trees"]["facets"]) == 14
     assert doc["discrepancies"] == []
 
 
@@ -222,6 +228,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+FIG1_STDOUT_SHA256 = {
+    ("analyze", "--json"): "11a1430ea6f9e731a4eab1bf6c04e9d3c1716c62deefc049e490645e5a9b79de",
+    ("analyze",): "68070ec226ff8da0585550846363cf1a1be1bae39959ba3656d7bb1ca5260bfd",
+    ("facets", "--json"): "7b1bb007df619cb1c52f290d6feb30dfd249339bf52d4da64d2fc1d9b82da834",
+    ("covers", "--json"): "cae1fb6e69aef950234a5b702b57a9f90543bf257fb9d10d6454f1994ae87d4c",
+    ("covers",): "b83e5cffaafb358bedeb0f0cb9d1a6c9b67aeeab2fcf1e6a7190e20edaeed40a",
+    ("verify",): "b2bafb3974e046141485e677496df88bfb630f3fe2e29f6709195cbc2e9f61c9",
+    ("homology", "--json"): "b384e45f44b49e74069d89accdedef4207d7b025466254a5995817e5f98c6c47",
+}
+
+
 def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
     # pins the face order, the signs and the report, not just repeatability
     code, _, _ = run_cli(capsys, "homology", FIG1, "--dump-matrices", str(tmp_path))
@@ -232,14 +249,70 @@ def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
     assert _sha256((tmp_path / "boundary_2.txt").read_bytes()) == (
         "2b176fa01f14fbee79c41f88668fd3366c085d3c7a1056b1e22c7d1983035f08"
     )
-    code, out, _ = run_cli(capsys, "analyze", FIG1, "--json")
-    assert code == 0
-    # FIG1 is an absolute path, so input.path is masked
-    assert out.count(json.dumps(FIG1)) == 1
-    masked = out.replace(json.dumps(FIG1), '"<path>"')
-    assert _sha256(masked.encode()) == (
-        "a5002140e264ddd52cf7e8623685c805eca60ae89b2dcba2659d76085057971d"
-    )
+    for (command, *flags), digest in FIG1_STDOUT_SHA256.items():
+        code, out, err = run_cli(capsys, command, FIG1, *flags)
+        assert (code, err) == (0, ""), command
+        # FIG1 is an absolute path, so the report's copy of it is masked
+        assert out.count(FIG1) == (command == "analyze")
+        assert _sha256(out.replace(FIG1, "<path>").encode()) == digest, (command, *flags)
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [x]
+
+
+def _drop_last(route):
+    return lambda *args: route(*args)[:-1]
+
+
+def _plus_one(route):
+    return lambda *args: route(*args) + 1
+
+
+def _last_plus_one(route):
+    return lambda *args: (terms := route(*args))[:-1] + [terms[-1] + 1]
+
+
+# one wrong route in the analysis, and the one check that must catch it
+PLANTS = [
+    ("enumerate_spanning_trees_layout", _drop_last, "facets:closed-form-vs-generic"),
+    ("count_spanning_trees_layout", _plus_one, "count:closed-form-vs-enumeration"),
+    ("closed_form_terms", _last_plus_one, "fvector:tail-zero"),
+    ("minimal_vertex_covers_closed_form", _drop_last, "covers:closed-form-vs-generic"),
+    ("euler_from_betti", _plus_one, "euler:all-routes-agree"),
+]
+
+
+@pytest.mark.parametrize("route, plant, check", PLANTS, ids=[p[2] for p in PLANTS])
+def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
+    monkeypatch.setattr(analysis, route, plant(getattr(analysis, route)))
+    code, out, err = run_cli(capsys, "verify", FIG1)
+    assert (code, out) == (1, "verify: FAIL (1 discrepancies)\n")
+    [record] = json.loads(err)
+    assert record["check"] == check
+    assert record["fingerprint"] == parse_graph_file(FIG1).fingerprint()
+    # counts are decimal strings, like every count in the report
+    values = _leaves([record["expected"], record["actual"]])
+    assert values and all(isinstance(v, str) for v in values)
+    assert record["expected"] != record["actual"]
+
+
+def test_random_suite_writes_counterexample(capsys, monkeypatch, tmp_path):
+    route = analysis.count_spanning_trees_layout
+    monkeypatch.setattr(analysis, "count_spanning_trees_layout", _plus_one(route))
+    monkeypatch.chdir(tmp_path)
+    [g] = random_suite(42, 1, 12)
+    target = f"counterexample-{g.fingerprint()}.json"
+    code, out, err = run_cli(capsys, "random-suite", "--count", "1")
+    assert code == 1
+    assert out.startswith(f"FAIL {g.fingerprint()}: wrote {target}\n")
+    assert [r["check"] for r in json.loads(err)] == ["count:closed-form-vs-enumeration"]
+    assert [p.name for p in tmp_path.iterdir()] == [target]
+    assert multigraph_from_json((tmp_path / target).read_text()).fingerprint() == g.fingerprint()
 
 
 def test_random_suite_small(capsys):

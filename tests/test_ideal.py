@@ -1,24 +1,24 @@
 import inspect
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 
 from spancomplex import (
-    VertexCover,
     build_multigraph,
     enumerate_spanning_trees_generic,
-    facet_ideal,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
-    primary_decomposition,
     recognize_unicyclic,
+    run_analyze,
 )
-from spancomplex.ideal import _assert_bond, monomial_divisible_by_some_generator
+from spancomplex.cli import main
+from spancomplex.ideal import _assert_bond, render_decomposition
 from spancomplex.multigraph import edge_endpoint_indices
 
 import bruteforce
-from conftest import connected_multigraphs
+from conftest import FIXTURES, connected_multigraphs
 
 FIG1_COVERS = {
     frozenset({"e41", "e42"}),
@@ -29,7 +29,7 @@ FIG1_COVERS = {
 
 
 def as_sets(covers):
-    return {frozenset(c.edge_ids) for c in covers}
+    return {frozenset(c) for c in covers}
 
 
 def one_edge():
@@ -52,14 +52,14 @@ def test_generic_covers_triangle(triangle):
 
 
 def test_generic_covers_single_facet():
-    assert minimal_vertex_covers_generic(one_edge()) == [VertexCover(("e1",))]
+    assert minimal_vertex_covers_generic(one_edge()) == [("e1",)]
 
 
 def test_generic_covers_theta(theta):
     covers = minimal_vertex_covers_generic(theta)
     assert as_sets(covers) == bruteforce.minimal_covers(enumerate_spanning_trees_generic(theta))
     # both edges of one path, or one edge from each of the three paths
-    assert [len(c.edge_ids) for c in covers] == [2] * 3 + [3] * 8
+    assert [len(c) for c in covers] == [2] * 3 + [3] * 8
 
 
 def test_generic_covers_of_long_cycle():
@@ -71,7 +71,7 @@ def test_generic_covers_of_long_cycle():
     )
     covers = minimal_vertex_covers_generic(g)
     assert len(covers) == n * (n - 1) // 2 == 2016
-    assert {c.edge_ids for c in covers} == {
+    assert set(covers) == {
         (f"e{i:02d}", f"e{j:02d}") for i in range(n) for j in range(i + 1, n)
     }
 
@@ -89,7 +89,7 @@ def test_generic_covers_do_not_recurse_per_vertex():
         covers = minimal_vertex_covers_generic(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert [c.edge_ids for c in covers] == [(f"e{i:03d}",) for i in range(n - 1)]
+    assert covers == [(f"e{i:03d}",) for i in range(n - 1)]
 
 
 def test_bond_check_rejects_non_bonds(fig1):
@@ -115,7 +115,7 @@ def test_generic_covers_are_the_minimal_transversals(g):
     covers = minimal_vertex_covers_generic(g)
     assert as_sets(covers) == bruteforce.minimal_covers(enumerate_spanning_trees_generic(g))
     assert len(as_sets(covers)) == len(covers)
-    assert covers == sorted(covers, key=lambda c: (len(c.edge_ids), c.edge_ids))
+    assert covers == sorted(covers, key=lambda c: (len(c), c))
 
 
 def test_closed_form_covers_fig1(fig1):
@@ -126,7 +126,7 @@ def test_closed_form_covers_fig1(fig1):
 def test_closed_form_covers_triangle(triangle):
     lay = recognize_unicyclic(triangle)
     covers = minimal_vertex_covers_closed_form(lay)
-    assert [len(c.edge_ids) for c in covers] == [2, 2, 2]
+    assert [len(c) for c in covers] == [2, 2, 2]
 
 
 def test_pendant_single_edge_is_a_cover():
@@ -142,7 +142,7 @@ def test_pendant_single_edge_is_a_cover():
     lay = recognize_unicyclic(g)
     assert lay.v == 1
     covers = minimal_vertex_covers_closed_form(lay)
-    assert VertexCover(("p1",)) in covers
+    assert ("p1",) in covers
     assert covers == minimal_vertex_covers_generic(g)
 
 
@@ -155,9 +155,9 @@ def test_closed_form_matches_generic_on_suite(suite_graphs):
 def test_covering_and_drop_one_minimality(suite_graphs):
     for g in suite_graphs[:40]:
         facets = enumerate_spanning_trees_generic(g)
-        facet_sets = [set(f.edge_ids) for f in facets]
+        facet_sets = [set(f) for f in facets]
         for cover in minimal_vertex_covers_generic(g):
-            ids = set(cover.edge_ids)
+            ids = set(cover)
             assert all(ids & fs for fs in facet_sets)
             for e in ids:
                 rest = ids - {e}
@@ -165,60 +165,46 @@ def test_covering_and_drop_one_minimality(suite_graphs):
 
 
 def test_facet_ideal_fig1(fig1):
-    view = facet_ideal(enumerate_spanning_trees_generic(fig1))
-    assert len(view.generators) == 14
-    assert view.generators[0] == ("e11", "e21", "e41")
-    rendered = view.render_generators()
-    assert rendered.startswith("⟨x_{e11}x_{e21}x_{e41}, ")
-    assert rendered.endswith("⟩")
+    # the generators are the spanning trees, counted in the text report
+    report = run_analyze(fig1)
+    assert len(report.facets) == 14
+    assert report.facets[0] == ("e11", "e21", "e41")
+    assert "facet ideal generators: 14\n" in report.render_text()
 
 
 def test_facet_ideal_triangle(triangle):
-    view = facet_ideal(enumerate_spanning_trees_generic(triangle))
-    assert view.generators == (("e1", "e2"), ("e1", "e3"), ("e2", "e3"))
+    assert run_analyze(triangle).facets == [("e1", "e2"), ("e1", "e3"), ("e2", "e3")]
 
 
 def test_facet_ideal_single_facet():
-    view = facet_ideal(enumerate_spanning_trees_generic(one_edge()))
-    assert view.render_generators() == "⟨x_{e1}⟩"
+    text = run_analyze(one_edge()).render_text()
+    assert "facet ideal generators: 1\nprimary decomposition: (x_{e1})\n" in text
 
 
 def test_primary_decomposition_fig1(fig1):
-    decomp = primary_decomposition(minimal_vertex_covers_generic(fig1))
-    assert decomp.render_decomposition() == (
+    covers = minimal_vertex_covers_generic(fig1)
+    assert render_decomposition(covers) == (
         "(x_{e21},x_{e31}) ∩ (x_{e41},x_{e42}) ∩ "
         "(x_{e11},x_{e12},x_{e13},x_{e21}) ∩ (x_{e11},x_{e12},x_{e13},x_{e31})"
     )
-    assert {frozenset(c) for c in decomp.components} == FIG1_COVERS
+    assert as_sets(covers) == FIG1_COVERS
 
 
 def test_primary_decomposition_single_facet():
-    decomp = primary_decomposition(minimal_vertex_covers_generic(one_edge()))
-    assert decomp.render_decomposition() == "(x_{e1})"
+    assert render_decomposition(minimal_vertex_covers_generic(one_edge())) == "(x_{e1})"
 
 
-def test_json_form(fig1):
-    doc = primary_decomposition(minimal_vertex_covers_generic(fig1)).to_json_dict()
+def test_json_form(fig1, capsys):
+    assert main(["covers", str(FIXTURES / "u_7_3_2.json"), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"generators", "components"}
+    assert doc["generators"] == [list(f) for f in enumerate_spanning_trees_generic(fig1)]
+    assert doc["components"] == [list(c) for c in minimal_vertex_covers_generic(fig1)]
     assert doc["components"][0] == ["e21", "e31"]
 
 
 def test_cover_prime_bijection(suite_graphs):
     for g in suite_graphs[:30]:
         covers = minimal_vertex_covers_generic(g)
-        decomp = primary_decomposition(covers)
-        assert [tuple(c) for c in decomp.components] == [c.edge_ids for c in covers]
-
-
-def test_membership_equivalence(suite_graphs):
-    small = [g for g in suite_graphs if g.n_edges <= 10][:20]
-    for g in small:
-        facets = enumerate_spanning_trees_generic(g)
-        view = facet_ideal(facets)
-        ids = g.edge_ids()
-        for mask in range(1, 1 << g.n_edges):
-            subset = [ids[i] for i in range(g.n_edges) if mask >> i & 1]
-            divisible = monomial_divisible_by_some_generator(subset, view)
-            assert divisible == (
-                len(subset) >= g.n_vertices - 1 and bruteforce.spans(g, subset)
-            )
+        primes = render_decomposition(covers).split(" ∩ ")
+        assert primes == ["(" + ",".join(f"x_{{{e}}}" for e in c) + ")" for c in covers]

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancomplex import (
-    Facet,
     build_multigraph,
     count_spanning_trees_layout,
     dimension,
@@ -42,7 +41,7 @@ FIG1_TREES = [
 
 
 def as_sets(facets):
-    return {frozenset(f.edge_ids) for f in facets}
+    return {frozenset(f) for f in facets}
 
 
 def test_layout_enumeration_fig1(fig1):
@@ -79,7 +78,7 @@ def test_generic_equals_layout_fig1(fig1):
 
 def test_generic_single_edge():
     g = build_multigraph(["a", "b"], [("e1", ("a", "b"))])
-    assert enumerate_spanning_trees_generic(g) == [Facet(("e1",))]
+    assert enumerate_spanning_trees_generic(g) == [("e1",)]
 
 
 def test_generic_theta_matches_subset_filter(theta):
@@ -125,7 +124,7 @@ def test_count_c211_with_outside_class():
 def test_facets_are_sorted_deterministically(fig1):
     facets = enumerate_spanning_trees_generic(fig1)
     assert facets == sorted(facets)
-    assert facets[0] == Facet(("e11", "e21", "e41"))
+    assert facets[0] == ("e11", "e21", "e41")
 
 
 @pytest.mark.parametrize("start", [0, 40, 80, 120, 160])
@@ -141,8 +140,8 @@ def test_suite_properties(suite_graphs, start):
         cycle_keys = {c.endpoints for c in lay.cycle_classes}
         want = g.n_vertices - 1
         for f in generic:
-            assert len(f.edge_ids) == want  # purity
-            ids = set(f.edge_ids)
+            assert len(f) == want  # purity
+            ids = set(f)
             hit_cycle = 0
             for c in classes:
                 assert len(ids & set(c.members)) <= 1
@@ -216,7 +215,7 @@ def test_closed_form_lists_past_the_enumeration_budget():
     facets = enumerate_spanning_trees_layout(lay)
     assert len(set(facets)) == len(facets) == count_spanning_trees_layout(lay) == 21504
     for f in facets:
-        ids = set(f.edge_ids)
+        ids = set(f)
         assert len(ids) == dimension(lay) + 1
         kept = sorted(len(ids & set(c.members)) for c in lay.cycle_classes)
         assert kept == [0] + [1] * (lay.m - 1)  # one whole cycle class left out
