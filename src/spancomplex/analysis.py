@@ -9,6 +9,7 @@ routes always run when the edge budget allows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import NotUnicyclicError
@@ -285,6 +286,19 @@ def run_verify(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> list[Discrepan
     return run_analyze(g, budget=budget).discrepancies
 
 
+def _unmatched(sets: EdgeSets, others: EdgeSets) -> list[list[str]]:
+    """The entries of ``sets`` left over once each entry of ``others`` has
+    matched one equal entry, in the order of ``sets``."""
+    left = Counter(others)
+    out = []
+    for s in sets:
+        if left[s]:
+            left[s] -= 1
+        else:
+            out.append(list(s))
+    return out
+
+
 def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
     out: list[Discrepancy] = []
     fp = report.fingerprint
@@ -296,8 +310,8 @@ def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
         if report.facets_closed_form != report.facets_generic:
             fail(
                 "facets:closed-form-vs-generic",
-                [list(f) for f in report.facets_generic],
-                [list(f) for f in report.facets_closed_form],
+                _unmatched(report.facets_generic, report.facets_closed_form),
+                _unmatched(report.facets_closed_form, report.facets_generic),
             )
     if report.count_closed_form is not None and report.facets_closed_form is not None:
         enumerated = len(report.facets_generic or report.facets_closed_form)
@@ -316,8 +330,8 @@ def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
         if report.covers_closed_form != report.covers_generic:
             fail(
                 "covers:closed-form-vs-generic",
-                [list(c) for c in report.covers_generic],
-                [list(c) for c in report.covers_closed_form],
+                _unmatched(report.covers_generic, report.covers_closed_form),
+                _unmatched(report.covers_closed_form, report.covers_generic),
             )
     eulers = {
         name: val

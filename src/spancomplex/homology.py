@@ -7,16 +7,22 @@ Betti numbers are ranks of homology over the rationals.
 ``betti_from_faces`` gets every boundary rank from one sparse column
 reduction with clearing (Chen & Kerber, "Persistent homology computation
 with a twist", 2011), in exact integer arithmetic (no floating point),
-which is all the alternating-sum identities here require.  One
-generator, ``_boundary_columns``, builds each boundary column as a sparse
-dict from the face's bits: the reduction draws the columns it does not
-clear from it, and ``boundary_matrix`` collects them all for
+which is all the alternating-sum identities here require.  Its rows are
+(i-1)-face masks, and a column's pivot is its largest row: for an
+unreduced column, the face minus its lowest bit (the rank over the
+rationals does not depend on the row or column order that defines
+pivots).  So the pivot is read off the face, and the column itself is
+built only when another column lands on the same pivot (Ripser's
+apparent pairs, Bauer 2021); a matroid complex is shellable, so most
+columns pair off with no arithmetic.  One builder, ``_boundary``, gives
+a face's column as ``{subface mask: +-1}``: the reduction uses it
+directly, and ``boundary_matrix`` maps its keys to row numbers for
 ``--dump-matrices`` and tests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import gcd
 
@@ -118,29 +124,27 @@ def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
     its (i-1)-subfaces, signs by position of the omitted vertex."""
     if not 1 <= i <= faces.dim:
         raise ValueError(f"boundary index {i} out of range 1..{faces.dim}")
+    row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
     return BoundaryMatrix(
         i=i,
         n_rows=len(faces.grades[i - 1]),
         n_cols=len(faces.grades[i]),
-        columns=tuple(_boundary_columns(faces, i, ())),
+        columns=tuple(
+            {row_index[f]: v for f, v in _boundary(face).items()} for face in faces.grades[i]
+        ),
     )
 
 
-def _boundary_columns(
-    faces: GradedFaces, i: int, skip: Collection[int]
-) -> Iterator[dict[int, int]]:
-    """Yield the column ``{row: +-1}`` of each i-face not in ``skip``, in
-    order.  Dropping the p-th edge in global order (the p-th set bit from
-    the top) gives the row with sign (-1)^p."""
-    row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
-    for c, face in enumerate(faces.grades[i]):
-        if c not in skip:
-            column, sign, rest = {}, 1, face
-            while rest:
-                bit = 1 << (rest.bit_length() - 1)
-                column[row_index[face ^ bit]] = sign
-                sign, rest = -sign, rest ^ bit
-            yield column
+def _boundary(face: int) -> dict[int, int]:
+    """The face's boundary column ``{subface mask: +-1}``.  Dropping the
+    p-th edge in global order (the p-th set bit from the top) gives the
+    subface with sign (-1)^p."""
+    column, sign, rest = {}, 1, face
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        column[face ^ bit] = sign
+        sign, rest = -sign, rest ^ bit
+    return column
 
 
 def betti_numbers(g: Multigraph, budget: int = DEFAULT_BUDGET) -> BettiProfile:
@@ -158,14 +162,15 @@ def betti_from_faces(faces: GradedFaces) -> BettiProfile:
     boundary matrix.
 
     The boundary maps are reduced from the top dimension down.  Each
-    pivot row of the reduced d_{i+1} is an i-face whose column in d_i is
-    a combination of earlier columns (the reduced column is a cycle with
-    that lowest row), so it is skipped: it would reduce to zero anyway.
+    pivot of the reduced d_{i+1} is an i-face whose column in d_i is a
+    combination of earlier columns (the reduced column is a cycle whose
+    largest face is that pivot), so it is skipped: it would reduce to
+    zero anyway.
     """
     d = faces.dim
     sizes = faces.sizes()
     boundary_ranks = [0] * (d + 1)
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict[int, int] | int] = {}
     for i in range(d, 0, -1):
         pivots = _reduce_boundary(faces, i, cleared=pivots.keys())
         boundary_ranks[i] = len(pivots)
@@ -179,20 +184,33 @@ def betti_from_faces(faces: GradedFaces) -> BettiProfile:
 
 def _reduce_boundary(
     faces: GradedFaces, i: int, cleared: Collection[int]
-) -> dict[int, dict[int, int]]:
-    """Column-reduce the i-th boundary map by lowest row, skipping the
-    columns in ``cleared``; the reduced non-zero columns keyed by their
-    lowest row.  Their number is the rank of the map.
+) -> dict[int, dict[int, int] | int]:
+    """Column-reduce the i-th boundary map, skipping the i-faces in
+    ``cleared``; the reduced non-zero columns keyed by their low, the
+    largest (i-1)-face mask among their entries.  Their number is the
+    rank of the map.
 
-    A column is a ``{row: value}`` dict.  Updates are fraction-free,
-    ``col <- (b/g) col - (a/g) pivot`` with ``g = gcd(a, b)``, followed by
-    division by the content gcd, so entries stay exact Python integers.
+    Columns are taken in ascending mask order.  An unreduced column's
+    low is its face minus the lowest bit, so it is read off the face: a
+    column whose low is new is kept unbuilt, as its face mask, and its
+    ``_boundary`` is built only when a later column lands on the same
+    low.  Updates are fraction-free, ``col <- (b/g) col - (a/g) pivot``
+    with ``g = gcd(a, b)``, followed by division by the content gcd, so
+    entries stay exact Python integers.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for col in _boundary_columns(faces, i, cleared):
-        low = max(col)
+    pivots: dict[int, dict[int, int] | int] = {}
+    for face in reversed(faces.grades[i]):
+        if face in cleared:
+            continue
+        low = face ^ (face & -face)
+        if low not in pivots:
+            pivots[low] = face
+            continue
+        col = _boundary(face)
         while low in pivots:
             pivot = pivots[low]
+            if isinstance(pivot, int):
+                pivot = pivots[low] = _boundary(pivot)
             a, b = col[low], pivot[low]
             g = gcd(a, b)
             a, b = a // g, b // g

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import FIXTURES, SIX_PENDANTS, make_doubled_six_cycle
 FIG1 = str(FIXTURES / "u_7_3_2.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
 THETA = str(FIXTURES / "theta.json")
+C211 = str(FIXTURES / "c211.json")
 
 
 def run_cli(capsys, *argv):
@@ -239,16 +241,29 @@ FIG1_STDOUT_SHA256 = {
 }
 
 
+DUMP_SHA256 = {
+    FIG1: [
+        "d0837df92dc90b5158670a9c464dbf5892d1dbf941e3ade2b73afde1412c5afb",
+        "2b176fa01f14fbee79c41f88668fd3366c085d3c7a1056b1e22c7d1983035f08",
+    ],
+    # not uni-cyclic, so its faces follow the input edge order
+    THETA: [
+        "0be662095c3e5dcdc82f99b9dc09f1eeafb2f4f40e78999712f7029016f1548e",
+        "fa1376b21d1d2ec67ad161965596d2ce4254d4658243a853795d1d05cac7cd8f",
+        "ddfedc5df3203a04cb927dd823749e9d9d7753f93a10533cd95b2bb0e846a0ee",
+    ],
+    C211: ["701aee35a25690e832c1d82dd16af38953f0e05ca954f80db48fc2a187aeb144"],
+}
+
+
 def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
     # pins the face order, the signs and the report, not just repeatability
-    code, _, _ = run_cli(capsys, "homology", FIG1, "--dump-matrices", str(tmp_path))
-    assert code == 0
-    assert _sha256((tmp_path / "boundary_1.txt").read_bytes()) == (
-        "d0837df92dc90b5158670a9c464dbf5892d1dbf941e3ade2b73afde1412c5afb"
-    )
-    assert _sha256((tmp_path / "boundary_2.txt").read_bytes()) == (
-        "2b176fa01f14fbee79c41f88668fd3366c085d3c7a1056b1e22c7d1983035f08"
-    )
+    for path, digests in DUMP_SHA256.items():
+        outdir = tmp_path / Path(path).stem
+        code, _, _ = run_cli(capsys, "homology", path, "--dump-matrices", str(outdir))
+        assert code == 0
+        # boundary_1.txt, boundary_2.txt, ...
+        assert [_sha256(f.read_bytes()) for f in sorted(outdir.iterdir())] == digests, path
     for (command, *flags), digest in FIG1_STDOUT_SHA256.items():
         code, out, err = run_cli(capsys, command, FIG1, *flags)
         assert (code, err) == (0, ""), command
@@ -289,7 +304,13 @@ PLANTS = [
 
 @pytest.mark.parametrize("route, plant, check", PLANTS, ids=[p[2] for p in PLANTS])
 def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
-    monkeypatch.setattr(analysis, route, plant(getattr(analysis, route)))
+    real, outputs = getattr(analysis, route), []
+
+    def recorded(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(analysis, route, plant(recorded))
     code, out, err = run_cli(capsys, "verify", FIG1)
     assert (code, out) == (1, "verify: FAIL (1 discrepancies)\n")
     [record] = json.loads(err)
@@ -299,6 +320,10 @@ def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
     values = _leaves([record["expected"], record["actual"]])
     assert values and all(isinstance(v, str) for v in values)
     assert record["expected"] != record["actual"]
+    if plant is _drop_last:
+        # the record names the one dropped tree or cover, not both lists
+        assert record["expected"] == [list(outputs[-1][-1])]
+        assert record["actual"] == []
 
 
 def test_random_suite_writes_counterexample(capsys, monkeypatch, tmp_path):
