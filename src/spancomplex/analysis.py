@@ -266,7 +266,9 @@ def run_analyze(
         report.covers_closed_form = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
-        faces = graded_faces(g, budget=budget)
+        # canonical_edge_order(g), from the recognition above
+        edge_order = layout.edge_order() if layout is not None else g.edge_ids()
+        faces = graded_faces(g, budget=budget, edge_order=edge_order)
         # g is connected, so its largest forests are its spanning trees
         report.facets_generic = sorted(tuple(sorted(faces.names(f))) for f in faces.grades[-1])
         report.f_bruteforce = FVector(faces.sizes())

@@ -97,15 +97,20 @@ def canonical_edge_order(g: Multigraph) -> tuple[str, ...]:
         return g.edge_ids()
 
 
-def graded_faces(g: Multigraph, budget: int = DEFAULT_BUDGET) -> GradedFaces:
+def graded_faces(
+    g: Multigraph, budget: int = DEFAULT_BUDGET, edge_order: tuple[str, ...] | None = None
+) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
-    The edges are indexed in reverse ``canonical_edge_order(g)``, so the
-    ascending masks of ``kernels.forest_masks``, walked backwards, give
-    every grade in order with no sorting; see ``GradedFaces``.
+    ``edge_order`` is ``canonical_edge_order(g)``, computed here unless a
+    caller that already recognized ``g`` passes it.  The edges are indexed
+    in its reverse, so the ascending masks of ``kernels.forest_masks``,
+    walked backwards, give every grade in order with no sorting; see
+    ``GradedFaces``.
     """
     require_budget(g.n_edges, budget, "graded face enumeration")
-    edge_order = canonical_edge_order(g)
+    if edge_order is None:
+        edge_order = canonical_edge_order(g)
     index = {e: i for i, e in enumerate(g.edge_ids())}
     us, vs = edge_endpoint_indices(g)
     perm = [index[e] for e in reversed(edge_order)]

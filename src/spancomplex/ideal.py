@@ -2,7 +2,11 @@
 
 Vertices of the complex are the edges of the multigraph, so a vertex
 cover is an edge set meeting every spanning tree, which is one whose
-deletion disconnects the graph: the minimal covers are its bonds.  A
+deletion disconnects the graph: the minimal covers are its bonds.  Each
+bridge is a bond on its own and lies in no other bond, so the generic
+route takes the bridges from one depth-first search
+(``kernels.bridge_mask``), contracts them, and walks the bonds of what
+is left; every cover, bridges included, is re-checked on the graph.  A
 cover, like a facet, is its sorted edge-id tuple.  The facet ideal has
 one squarefree generator per facet and one minimal prime per minimal
 cover, so its generators are the spanning tree list and its primary
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import kernels
 from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
 
 
@@ -30,16 +35,21 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
     """The minimal vertex covers of the complex: the bonds of ``g``, the
     cuts δ(S) with S and V∖S both connected, each re-verified on ``g``.
 
-    S holds the first vertex; a neighbour of S is added to it or excluded
-    for good (Tsukiyama, Shirakawa, Ozaki & Ariyoshi, JACM 1980).  A branch
-    is kept only while every excluded vertex lies in one component of
-    G − S.  One branch always passes, and a node with no neighbour left to
-    decide is a bond, so the work is O(V·E) per bond.
+    A bridge is a bond on its own.  The other bonds are those of ``g``
+    with its bridges contracted, the core, whose every edge lies on a
+    cycle.  On the core, S holds the first vertex; a neighbour of S is
+    added to it or excluded for good (Tsukiyama, Shirakawa, Ozaki &
+    Ariyoshi, JACM 1980).  A branch is kept only while every excluded
+    vertex lies in one component of G − S.  One branch always passes, and
+    a node with no neighbour left to decide is a bond, so the work is
+    O(V·E) per bond.
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    nbrs = _neighbour_masks(g.n_vertices, us, vs, removed=())
-    covers: list[tuple[str, ...]] = []
+    bridges = kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices)
+    core, cus, cvs, k = kernels.contract_bridges(g.n_edges, us, vs, g.n_vertices, bridges)
+    cuts = [[e] for e in range(g.n_edges) if bridges >> e & 1]
+    nbrs = _neighbour_masks(k, cus, cvs, removed=())
 
     def one_component(s: int, excluded: int) -> bool:
         return not excluded & ~_flood(nbrs, excluded & -excluded, ~s)
@@ -55,9 +65,11 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
             if one_component(s | u, excluded):
                 stack.append((s | u, reach | nbrs[u.bit_length() - 1], excluded))
         elif excluded:
-            cut = [e for e, (a, b) in enumerate(zip(us, vs)) if (s >> a ^ s >> b) & 1]
-            _assert_bond(g.n_vertices, us, vs, cut, ids)
-            covers.append(tuple(sorted(ids[e] for e in cut)))
+            cuts.append([e for e, a, b in zip(core, cus, cvs) if (s >> a ^ s >> b) & 1])
+    covers: list[tuple[str, ...]] = []
+    for cut in cuts:
+        _assert_bond(g.n_vertices, us, vs, cut, ids)
+        covers.append(tuple(sorted(ids[e] for e in cut)))
     return sorted(covers, key=_cover_sort_key)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import spancomplex
-from spancomplex import build_multigraph, kernels, run_analyze
+from spancomplex import analysis, build_multigraph, homology, kernels, run_analyze
 from spancomplex.fvector import f_vector_bruteforce
 from spancomplex.spanning import enumerate_spanning_trees_generic
 
@@ -24,6 +24,24 @@ def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
     monkeypatch.setattr(kernels, "forest_masks", counting)
     report = run_analyze(fig1)
     assert len(calls) == 1
+    assert not report.discrepancies
+
+
+@pytest.mark.parametrize("name", ["fig1", "theta"])
+def test_run_analyze_recognizes_once(request, monkeypatch, name):
+    # theta is not uni-cyclic: recognizing it raises, and must not be retried
+    g = request.getfixturevalue(name)
+    calls = []
+    recognize = analysis.recognize_unicyclic
+
+    def counting(graph):
+        calls.append(graph)
+        return recognize(graph)
+
+    for module in (analysis, homology):
+        monkeypatch.setattr(module, "recognize_unicyclic", counting)
+    report = run_analyze(g)
+    assert calls == [g]
     assert not report.discrepancies
 
 

@@ -11,7 +11,7 @@ from spancomplex.errors import SchemaError
 from spancomplex.multigraph import multigraph_from_json
 from spancomplex.randomgraphs import random_suite
 
-from conftest import FIXTURES, SIX_PENDANTS, make_doubled_six_cycle
+from conftest import FIXTURES, SIX_PENDANTS, layout_graph, make_doubled_six_cycle
 
 FIG1 = str(FIXTURES / "u_7_3_2.json")
 TRIANGLE = str(FIXTURES / "triangle.json")
@@ -270,6 +270,25 @@ def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
         # FIG1 is an absolute path, so the report's copy of it is masked
         assert out.count(FIG1) == (command == "analyze")
         assert _sha256(out.replace(FIG1, "<path>").encode()) == digest, (command, *flags)
+
+
+# layout_graph([2, 1, 1], (2,), 3): the three pendant edges are bridges,
+# which no fixture has
+BRIDGED_STDOUT_SHA256 = {
+    ("facets", "--json"): "e7115e9bbe41fd42fa2c1f49e2aa078667791054940eb60eca578ae3541dfce9",
+    ("facets",): "ac76b01ebad5ad96400887c3699cafe74182a5aaa3e6a7770ac121a7c4fb526d",
+    ("covers", "--json"): "5d2959355a9d7ce84c30034d922a337770f76cd8ded404e37792a3d575fe188a",
+    ("covers",): "b58898a5ce688067f9e44059538ee41c8f26ec48a1b35376ca9ad01af67ec5e9",
+}
+
+
+def test_bridged_layout_outputs_match_golden_bytes(capsys, tmp_path):
+    path = tmp_path / "bridged.json"
+    path.write_text(json.dumps(layout_graph([2, 1, 1], (2,), 3).to_json_dict()))
+    for (command, *flags), digest in BRIDGED_STDOUT_SHA256.items():
+        code, out, err = run_cli(capsys, command, str(path), *flags)
+        assert (code, err) == (0, ""), command
+        assert _sha256(out.encode()) == digest, (command, *flags)
 
 
 def _leaves(x):

@@ -2,14 +2,24 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from spancomplex import kernels
+from spancomplex import build_multigraph, kernels
 from spancomplex.kernels import pyref
 from spancomplex.multigraph import edge_endpoint_indices
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
-from conftest import make_c211, make_fig1, make_theta, make_triangle
+from conftest import (
+    SIX_PENDANTS,
+    connected_multigraphs,
+    layout_graph,
+    make_c211,
+    make_doubled_six_cycle,
+    make_fig1,
+    make_theta,
+    make_triangle,
+)
 
 
 def _random_matrix(rng, lo=-3, hi=3, max_dim=9):
@@ -24,17 +34,21 @@ def test_pyref_forest_masks_triangle():
     assert masks == [1, 2, 3, 4, 5, 6]
 
 
-def test_pyref_forest_masks_leaves_no_reference_cycle():
-    # the result and the union-find state must be freed by refcounting alone
+def _assert_no_reference_cycle(kernel, *args):
+    # the result and the kernel's state must be freed by refcounting alone
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        pyref.forest_masks(3, [0, 1, 2], [1, 2, 0], 3)
+        kernel(*args)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_pyref_forest_masks_leaves_no_reference_cycle():
+    _assert_no_reference_cycle(pyref.forest_masks, 3, [0, 1, 2], [1, 2, 0], 3)
 
 
 def test_pyref_forest_masks_rejects_wide_input():
@@ -65,20 +79,96 @@ def test_spanning_tree_masks_small_cases():
 
 
 def test_spanning_tree_masks_leave_no_reference_cycle():
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        pyref.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3)
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
+    # a triangle with a pendant edge: one bridge contracted, a core to branch on
+    _assert_no_reference_cycle(pyref.spanning_tree_masks, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
+
+
+def test_bridge_mask_leaves_no_reference_cycle():
+    _assert_no_reference_cycle(pyref.bridge_mask, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
 
 
 def test_spanning_tree_masks_reject_wide_input():
     with pytest.raises(ValueError, match="at most 62 edges"):
         pyref.spanning_tree_masks(63, [0] * 63, [1] * 63, 2)
+
+
+@pytest.mark.parametrize(
+    "g,n_trees,max_grow,max_suffix",
+    [
+        # a triangle with 17 pendant edges
+        (layout_graph([1, 1, 1], (), 17), 3, 8, 6),
+        # a doubled 6-cycle with a pendant edge at each vertex
+        (make_doubled_six_cycle(SIX_PENDANTS), 192, 576, 321),
+    ],
+    ids=["triangle-17-pendants", "doubled-six-cycle-6-pendants"],
+)
+def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, max_grow, max_suffix):
+    # branching on the bridges too costs 60 and 1888 _grow calls, with 57
+    # and 1473 suffix union-finds
+    calls = {pyref._grow: 0, pyref._suffix_components: 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for fn in list(calls):
+        monkeypatch.setattr(pyref, fn.__name__, counted(fn))
+    us, vs = edge_endpoint_indices(g)
+    masks = pyref.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+    assert len(set(masks)) == n_trees
+    assert all(m.bit_count() == g.n_vertices - 1 for m in masks)
+    grow, suffix = calls.values()
+    assert grow <= max_grow
+    assert suffix <= max_suffix
+
+
+def _path(n):
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", (vertices[i], vertices[i + 1])) for i in range(n - 1)]
+    return build_multigraph(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "g,bridges",
+    [
+        # trees: every edge is a bridge
+        (_path(5), 0b1111),
+        (build_multigraph("abcd", [("e0", "ab"), ("e1", "ac"), ("e2", "ad")]), 0b111),
+        # a cycle has none
+        (make_triangle(), 0),
+        # parallel copies are never bridges; fig1's classes are all on the
+        # cycle or doubled
+        (build_multigraph("ab", [("e0", "ab"), ("e1", "ab")]), 0),
+        (make_fig1(), 0),
+        # a doubled edge between two pendant edges: c, d are bridges
+        (build_multigraph("abcd", [("c", "ab"), ("p", "bc"), ("q", "bc"), ("d", "cd")]), 0b1001),
+        (layout_graph([1, 1, 1], (2,), 2), 0b11 << 5),
+    ],
+)
+def test_bridge_mask_small_cases(g, bridges):
+    us, vs = edge_endpoint_indices(g)
+    assert kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices) == bridges
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(connected_multigraphs())
+def test_bridge_mask_is_the_edges_every_spanning_set_needs(g):
+    us, vs = edge_endpoint_indices(g)
+    ids = g.edge_ids()
+    bridges = kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices)
+    for e in range(g.n_edges):
+        assert bool(bridges >> e & 1) == (not bruteforce.spans(g, ids[:e] + ids[e + 1 :])), ids[e]
+
+
+def test_contract_bridges_relabels_the_core():
+    # triangle 0-1-2 with the pendant 3 on vertex 1, listed second
+    us, vs = [0, 1, 1, 2], [1, 3, 2, 0]
+    bridges = kernels.bridge_mask(4, us, vs, 4)
+    assert bridges == 0b10
+    assert kernels.contract_bridges(4, us, vs, 4, bridges) == ([0, 2, 3], [0, 1, 2], [1, 2, 0], 3)
 
 
 def test_pyref_rank_small_cases():
