@@ -1,191 +1,6 @@
-"""Pure Python kernels, in arbitrary-precision arithmetic.
-
-``forest_masks``, ``spanning_tree_masks`` and ``bridge_mask`` keep each
-edge subset as one int bitmask over the edge indices; ``matrix_rank``
-never overflows, whatever the entries.
-"""
+"""The dense reference rank: exact rank over the rationals of an integer matrix."""
 
 from math import gcd
-
-# Widest edge list the enumerations accept, and so the largest enumeration
-# budget; no enumeration of 2**62 subsets would finish anyway.
-MAX_EDGES = 62
-
-
-def forest_masks(n_edges, us, vs, n_vertices):
-    """Bitmasks of every non-empty acyclic edge subset (forest).
-
-    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  The result is
-    sorted ascending.
-    """
-    if n_edges > MAX_EDGES:
-        raise ValueError(f"forest enumeration supports at most {MAX_EDGES} edges")
-    out = []
-    _extend(0, 0, n_edges, us, vs, list(range(n_vertices)), out)
-    out.sort()
-    return out
-
-
-def _extend(idx, mask, n_edges, us, vs, parent, out):
-    """Append every forest that adds edges >= idx to ``mask``.
-
-    Union-find with rollback: no path compression, so a single parent
-    write per union is enough to undo it.  A module-level function, not
-    a closure, so no reference cycle keeps ``out`` alive after the call.
-    """
-    for i in range(idx, n_edges):
-        ru = us[i]
-        while parent[ru] != ru:
-            ru = parent[ru]
-        rv = vs[i]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        m = mask | (1 << i)
-        out.append(m)
-        _extend(i + 1, m, n_edges, us, vs, parent, out)
-        parent[ru] = ru
-
-
-def spanning_tree_masks(n_edges, us, vs, n_vertices):
-    """Bitmasks of every spanning tree, sorted ascending.
-
-    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  A disconnected
-    graph has none.  Every tree holds every bridge, so the bridges are
-    contracted first and only the edges left, the core, are branched on.
-    Only spanning trees are visited, not every forest (Read & Tarjan,
-    "Bounds on backtrack algorithms for listing cycles, paths, and
-    spanning trees", 1975).
-    """
-    if n_edges > MAX_EDGES:
-        raise ValueError(f"spanning tree enumeration supports at most {MAX_EDGES} edges")
-    comp = _suffix_components(list(range(n_vertices)), us, vs, 0, n_edges)
-    if len({_root(comp, x) for x in range(n_vertices)}) > 1:
-        return []
-    bridges = bridge_mask(n_edges, us, vs, n_vertices)
-    core, cus, cvs, k = contract_bridges(n_edges, us, vs, n_vertices, bridges)
-    out = []
-    bits = [1 << e for e in core]
-    _grow(0, bridges, k - 1, bits, cus, cvs, list(range(k)), out)
-    out.sort()
-    return out
-
-
-def _grow(i, mask, need, bits, us, vs, parent, out):
-    """Append every spanning tree that adds ``need`` edges >= i to ``mask``.
-
-    Edge i joins ``us[i]`` and ``vs[i]`` and is the bit ``bits[i]`` of a
-    mask.  Invariant: ``mask`` is a forest, and ``mask`` plus the edges
-    >= i span the graph, so every call appends at least one tree.  Edge i
-    is taken only if it joins two components of ``mask`` (union-find with
-    rollback, as in ``_extend``), and left out only if it is not a bridge
-    of ``mask`` plus the edges after i.  A module-level function, not a
-    closure, so no reference cycle keeps ``out`` alive after the call.
-    """
-    if need == 0:
-        out.append(mask)
-        return
-    ru = us[i]
-    while parent[ru] != ru:
-        ru = parent[ru]
-    rv = vs[i]
-    while parent[rv] != rv:
-        rv = parent[rv]
-    if ru != rv:
-        parent[ru] = rv
-        _grow(i + 1, mask | bits[i], need - 1, bits, us, vs, parent, out)
-        parent[ru] = ru
-        comp = _suffix_components(parent, us, vs, i + 1, len(bits))
-        if _root(comp, ru) != _root(comp, rv):
-            return  # edge i is a bridge of what is left: every tree here uses it
-    _grow(i + 1, mask, need, bits, us, vs, parent, out)
-
-
-def bridge_mask(n_edges, us, vs, n_vertices):
-    """Bitmask of the bridges: the edges on no cycle, which every spanning
-    tree holds.
-
-    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  One depth-first
-    search with low links (Tarjan, "A note on finding the bridges of a
-    graph", 1974), on an explicit stack, so a long path needs no deep
-    recursion.  A tree edge is a bridge when nothing below it reaches
-    above it by another edge; the edge into a vertex is skipped by its
-    index, not its endpoint, so a parallel copy is never a bridge.
-    """
-    adj = [[] for _ in range(n_vertices)]
-    for e in range(n_edges):
-        adj[us[e]].append((vs[e], e))
-        adj[vs[e]].append((us[e], e))
-    order = [0] * n_vertices  # discovery time, from 1; 0 while unvisited
-    low = [0] * n_vertices
-    bridges = 0
-    t = 0
-    for root in range(n_vertices):
-        if order[root]:
-            continue
-        t += 1
-        order[root] = low[root] = t
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, via, edges = stack[-1]
-            for w, e in edges:
-                if e == via:
-                    continue
-                if not order[w]:
-                    t += 1
-                    order[w] = low[w] = t
-                    stack.append((w, e, iter(adj[w])))
-                    break
-                if order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > order[p]:
-                        bridges |= 1 << via
-    return bridges
-
-
-def contract_bridges(n_edges, us, vs, n_vertices, bridges):
-    """The graph with the edges of the mask ``bridges`` contracted.
-
-    Returns ``(core, cus, cvs, k)``: ``core`` lists the other edge
-    indices ascending, and core edge j joins ``cus[j]`` and ``cvs[j]`` of
-    the k contracted vertices.  Vertices are numbered by their first
-    original vertex, so vertex 0 stays in vertex 0.
-    """
-    comp = list(range(n_vertices))
-    for e in range(n_edges):
-        if bridges >> e & 1:
-            comp[_root(comp, us[e])] = _root(comp, vs[e])
-    label = {}
-    new = [label.setdefault(_root(comp, x), len(label)) for x in range(n_vertices)]
-    core = [e for e in range(n_edges) if not bridges >> e & 1]
-    return core, [new[us[e]] for e in core], [new[vs[e]] for e in core], len(label)
-
-
-def _suffix_components(parent, us, vs, start, n_edges):
-    """Union-find of the forest in ``parent`` plus the edges >= start."""
-    comp = parent[:]
-    for j in range(start, n_edges):
-        ru = _root(comp, us[j])
-        rv = _root(comp, vs[j])
-        if ru != rv:
-            comp[ru] = rv
-    return comp
-
-
-def _root(comp, x):
-    """Root of x in ``comp``, halving the path on the way (``comp`` is a copy)."""
-    while comp[x] != x:
-        comp[x] = comp[comp[x]]
-        x = comp[x]
-    return x
 
 
 def matrix_rank(rows):

@@ -11,8 +11,9 @@ layout used by every closed-form computation in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import kernels
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeIdError,
@@ -98,7 +99,6 @@ class UnicyclicLayout:
     n = alpha + (m - r') + beta + v always holds.
     """
 
-    graph: Multigraph = field(repr=False)
     cycle_classes: tuple[ParallelClass, ...]
     outside_multiple_classes: tuple[ParallelClass, ...]
     outside_single_edges: tuple[str, ...]
@@ -224,7 +224,8 @@ def _quotient_cycle(g: Multigraph, classes: list[ParallelClass]) -> list[Paralle
     starting from an arbitrary cycle class.
 
     Raises ``NotUnicyclicError`` when the quotient is a tree or has more
-    than one independent cycle.
+    than one independent cycle.  Otherwise the cycle is exactly the
+    quotient's arcs that are not bridges (``kernels.bridge_mask``).
     """
     n_nodes = g.n_vertices
     n_arcs = len(classes)
@@ -235,35 +236,24 @@ def _quotient_cycle(g: Multigraph, classes: list[ParallelClass]) -> list[Paralle
             f"quotient graph has {n_arcs - n_nodes + 1} independent cycles; expected 1"
         )
 
-    # peel leaves of the quotient until only the cycle remains
-    incident: dict[str, set[int]] = {v: set() for v in g.vertices}
-    for idx, cls in enumerate(classes):
-        u, v = cls.endpoints
-        incident[u].add(idx)
-        incident[v].add(idx)
-    alive_nodes = set(g.vertices)
-    leaves = [v for v in alive_nodes if len(incident[v]) == 1]
-    while leaves:
-        leaf = leaves.pop()
-        alive_nodes.discard(leaf)
-        (arc,) = incident[leaf]
-        incident[leaf].clear()
-        u, v = classes[arc].endpoints
-        other = v if u == leaf else u
-        incident[other].discard(arc)
-        if other in alive_nodes and len(incident[other]) == 1:
-            leaves.append(other)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    us = [index[c.endpoints[0]] for c in classes]
+    vs = [index[c.endpoints[1]] for c in classes]
+    bridges = kernels.bridge_mask(n_arcs, us, vs, n_nodes)
+    cycle = [i for i in range(n_arcs) if not bridges >> i & 1]
+    cycle_arcs: dict[int, list[int]] = {}  # node -> its two cycle arcs
+    for i in cycle:
+        cycle_arcs.setdefault(us[i], []).append(i)
+        cycle_arcs.setdefault(vs[i], []).append(i)
 
-    cycle_idx = sorted({i for v in alive_nodes for i in incident[v]})
-    # walk the cycle; every surviving node has exactly two incident arcs
-    start = cycle_idx[0]
-    ordered = [start]
-    u, cur_node = classes[start].endpoints
-    while cur_node != u:
-        nxt = next(i for i in incident[cur_node] if i != ordered[-1])
-        ordered.append(nxt)
-        a, b = classes[nxt].endpoints
-        cur_node = b if a == cur_node else a
+    arc = cycle[0]
+    ordered = [arc]
+    first, node = us[arc], vs[arc]
+    while node != first:
+        a, b = cycle_arcs[node]
+        arc = b if a == arc else a
+        ordered.append(arc)
+        node = vs[arc] if us[arc] == node else us[arc]
     return [classes[i] for i in ordered]
 
 
@@ -299,7 +289,6 @@ def recognize_unicyclic(g: Multigraph) -> UnicyclicLayout:
     r_prime = len(cyc_multiple)
     r_dprime = len(out_multiple)
     return UnicyclicLayout(
-        graph=g,
         cycle_classes=tuple(cyc_multiple + cyc_single),
         outside_multiple_classes=tuple(out_multiple),
         outside_single_edges=tuple(out_single),

@@ -28,9 +28,9 @@ def _random_matrix(rng, lo=-3, hi=3, max_dim=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_pyref_forest_masks_triangle():
+def test_forest_masks_triangle():
     # edges 0:(0,1) 1:(1,2) 2:(2,0): every proper subset is a forest
-    masks = pyref.forest_masks(3, [0, 1, 2], [1, 2, 0], 3)
+    masks = kernels.forest_masks(3, [0, 1, 2], [1, 2, 0], 3)
     assert masks == [1, 2, 3, 4, 5, 6]
 
 
@@ -47,17 +47,17 @@ def _assert_no_reference_cycle(kernel, *args):
             gc.enable()
 
 
-def test_pyref_forest_masks_leaves_no_reference_cycle():
-    _assert_no_reference_cycle(pyref.forest_masks, 3, [0, 1, 2], [1, 2, 0], 3)
+def test_forest_masks_leaves_no_reference_cycle():
+    _assert_no_reference_cycle(kernels.forest_masks, 3, [0, 1, 2], [1, 2, 0], 3)
 
 
-def test_pyref_forest_masks_rejects_wide_input():
+def test_forest_masks_rejects_wide_input():
     with pytest.raises(ValueError):
-        pyref.forest_masks(63, [0] * 63, [1] * 63, 2)
+        kernels.forest_masks(63, [0] * 63, [1] * 63, 2)
 
 
 def _tree_filter(n_edges, us, vs, n_vertices):
-    masks = pyref.forest_masks(n_edges, us, vs, n_vertices)
+    masks = kernels.forest_masks(n_edges, us, vs, n_vertices)
     return [m for m in masks if m.bit_count() == n_vertices - 1]
 
 
@@ -71,25 +71,25 @@ def test_spanning_tree_masks_equal_forest_filter():
 
 def test_spanning_tree_masks_small_cases():
     # triangle: the three 2-edge subsets
-    assert pyref.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3) == [3, 5, 6]
+    assert kernels.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3) == [3, 5, 6]
     # two parallel edges then a pendant edge, listed pendant-first
-    assert pyref.spanning_tree_masks(3, [1, 0, 0], [2, 1, 1], 3) == [3, 5]
+    assert kernels.spanning_tree_masks(3, [1, 0, 0], [2, 1, 1], 3) == [3, 5]
     # disconnected: edges {0,1} and {2,3}
-    assert pyref.spanning_tree_masks(2, [0, 2], [1, 3], 4) == []
+    assert kernels.spanning_tree_masks(2, [0, 2], [1, 3], 4) == []
 
 
 def test_spanning_tree_masks_leave_no_reference_cycle():
     # a triangle with a pendant edge: one bridge contracted, a core to branch on
-    _assert_no_reference_cycle(pyref.spanning_tree_masks, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
+    _assert_no_reference_cycle(kernels.spanning_tree_masks, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
 
 
 def test_bridge_mask_leaves_no_reference_cycle():
-    _assert_no_reference_cycle(pyref.bridge_mask, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
+    _assert_no_reference_cycle(kernels.bridge_mask, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
 
 
 def test_spanning_tree_masks_reject_wide_input():
     with pytest.raises(ValueError, match="at most 62 edges"):
-        pyref.spanning_tree_masks(63, [0] * 63, [1] * 63, 2)
+        kernels.spanning_tree_masks(63, [0] * 63, [1] * 63, 2)
 
 
 @pytest.mark.parametrize(
@@ -105,7 +105,7 @@ def test_spanning_tree_masks_reject_wide_input():
 def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, max_grow, max_suffix):
     # branching on the bridges too costs 60 and 1888 _grow calls, with 57
     # and 1473 suffix union-finds
-    calls = {pyref._grow: 0, pyref._suffix_components: 0}
+    calls = {kernels._grow: 0, kernels._suffix_components: 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -115,9 +115,9 @@ def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, ma
         return wrapper
 
     for fn in list(calls):
-        monkeypatch.setattr(pyref, fn.__name__, counted(fn))
+        monkeypatch.setattr(kernels, fn.__name__, counted(fn))
     us, vs = edge_endpoint_indices(g)
-    masks = pyref.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+    masks = kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
     assert len(set(masks)) == n_trees
     assert all(m.bit_count() == g.n_vertices - 1 for m in masks)
     grow, suffix = calls.values()

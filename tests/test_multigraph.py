@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from spancomplex import (
     DisconnectedGraphError,
@@ -13,9 +14,11 @@ from spancomplex import (
     parallel_classes,
     recognize_unicyclic,
 )
+from spancomplex.multigraph import _quotient_cycle
 from spancomplex.randomgraphs import random_suite
 
-from conftest import make_fig1
+import bruteforce
+from conftest import connected_multigraphs, make_fig1
 
 
 def test_build_fig1():
@@ -151,6 +154,28 @@ def test_labels_cover_all_edges(suite_graphs):
         lay = recognize_unicyclic(g)
         labels = lay.canonical_labels()
         assert sorted(labels) == sorted(g.edge_ids())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(connected_multigraphs(max_rank=3))
+def test_recognition_finds_the_quotient_cycle(g):
+    # uni-cyclic exactly when the quotient has as many arcs as nodes; then
+    # the cycle classes are those whose removal leaves the graph connected
+    if len({frozenset(ends) for _, ends in g.edges}) != g.n_vertices:
+        with pytest.raises(NotUnicyclicError):
+            recognize_unicyclic(g)
+        return
+    lay = recognize_unicyclic(g)
+    classes = parallel_classes(g)
+    ids = set(g.edge_ids())
+    on_cycle = {c for c in classes if bruteforce.spans(g, ids - set(c.members))}
+    assert len(lay.cycle_classes) == len(on_cycle) and set(lay.cycle_classes) == on_cycle
+    # the layout lists multiple classes first, so adjacency is checked on the walk
+    walk = _quotient_cycle(g, classes)
+    assert set(walk) == on_cycle and len(walk) == len(on_cycle)
+    for c, d in zip(walk, walk[1:] + walk[:1]):
+        assert set(c.endpoints) & set(d.endpoints)
+    assert sorted(lay.edge_order()) == sorted(g.edge_ids())
 
 
 VALID_DOC = """
