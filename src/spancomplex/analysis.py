@@ -27,7 +27,7 @@ from .ideal import (
     minimal_vertex_covers_generic,
     render_decomposition,
 )
-from .multigraph import Multigraph, UnicyclicLayout, recognize_unicyclic
+from .multigraph import Multigraph, UnicyclicLayout, edge_sets, recognize_unicyclic
 from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
 
 EdgeSets = list[tuple[str, ...]]
@@ -270,7 +270,7 @@ def run_analyze(
         edge_order = layout.edge_order() if layout is not None else g.edge_ids()
         faces = graded_faces(g, budget=budget, edge_order=edge_order)
         # g is connected, so its largest forests are its spanning trees
-        report.facets_generic = sorted(tuple(sorted(faces.names(f))) for f in faces.grades[-1])
+        report.facets_generic = edge_sets(faces.names(f) for f in faces.grades[-1])
         report.f_bruteforce = FVector(faces.sizes())
         report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
         report.betti = betti_from_faces(faces)

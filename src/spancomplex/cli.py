@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import run_analyze
+from .analysis import run_analyze, run_verify
 from .errors import (
     BudgetExceededError,
     GraphValidationError,
@@ -59,14 +59,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = parse_graph_file(args.path)
-    report = run_analyze(g, budget=args.budget, path=args.path)
-    if report.discrepancies:
-        sys.stdout.write(f"verify: FAIL ({len(report.discrepancies)} discrepancies)\n")
+    discrepancies = run_verify(parse_graph_file(args.path), budget=args.budget)
+    if discrepancies:
+        sys.stdout.write(f"verify: FAIL ({len(discrepancies)} discrepancies)\n")
     else:
         sys.stdout.write("verify: PASS\n")
-    _emit_discrepancies(report.discrepancies)
-    return 1 if report.discrepancies else 0
+    _emit_discrepancies(discrepancies)
+    return 1 if discrepancies else 0
 
 
 def cmd_facets(args) -> int:
@@ -128,14 +127,14 @@ def cmd_random_suite(args) -> int:
     graphs = random_suite(args.seed, args.count, args.max_edges)
     failures = []
     for g in graphs:
-        report = run_analyze(g, budget=args.budget)
-        if report.discrepancies:
+        discrepancies = run_verify(g, budget=args.budget)
+        if discrepancies:
             target = Path(f"counterexample-{g.fingerprint()}.json")
             target.write_text(
                 json.dumps(g.to_json_dict(), indent=2) + "\n", encoding="utf-8"
             )
             sys.stdout.write(f"FAIL {g.fingerprint()}: wrote {target}\n")
-            failures.extend(report.discrepancies)
+            failures.extend(discrepancies)
     if args.json:
         _emit_json(
             {

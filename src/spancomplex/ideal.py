@@ -6,8 +6,9 @@ deletion disconnects the graph: the minimal covers are its bonds.  Each
 bridge is a bond on its own and lies in no other bond, so the generic
 route takes the bridges from one depth-first search
 (``kernels.bridge_mask``), contracts them, and walks the bonds of what
-is left; every cover, bridges included, is re-checked on the graph.  A
-cover, like a facet, is its sorted edge-id tuple.  The facet ideal has
+is left; the walk and the re-check of every cover on the graph test
+connectivity with ``kernels._flood``.  Both routes list covers, like
+facets, through ``multigraph.edge_sets``.  The facet ideal has
 one squarefree generator per facet and one minimal prime per minimal
 cover, so its generators are the spanning tree list and its primary
 decomposition is the cover list; ``render_decomposition`` writes the
@@ -19,16 +20,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import kernels
-from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
+from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices, edge_sets
 
 
 def render_decomposition(covers) -> str:
     """The primary decomposition, one prime (x_{a},x_{b},…) per cover, joined by ∩."""
     return " ∩ ".join("(" + ",".join("x_{%s}" % e for e in c) + ")" for c in covers)
-
-
-def _cover_sort_key(c: tuple[str, ...]):
-    return (len(c), c)
 
 
 def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
@@ -49,10 +46,10 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
     bridges = kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices)
     core, cus, cvs, k = kernels.contract_bridges(g.n_edges, us, vs, g.n_vertices, bridges)
     cuts = [[e] for e in range(g.n_edges) if bridges >> e & 1]
-    nbrs = _neighbour_masks(k, cus, cvs, removed=())
+    nbrs = kernels._neighbour_masks(k, cus, cvs, removed=())
 
     def one_component(s: int, excluded: int) -> bool:
-        return not excluded & ~_flood(nbrs, excluded & -excluded, ~s)
+        return not excluded & ~kernels._flood(nbrs, excluded & -excluded, ~s)
 
     stack = [(1, nbrs[0], 0)]  # (S, its neighbours, excluded), as vertex masks
     while stack:
@@ -66,43 +63,18 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
                 stack.append((s | u, reach | nbrs[u.bit_length() - 1], excluded))
         elif excluded:
             cuts.append([e for e, a, b in zip(core, cus, cvs) if (s >> a ^ s >> b) & 1])
-    covers: list[tuple[str, ...]] = []
     for cut in cuts:
         _assert_bond(g.n_vertices, us, vs, cut, ids)
-        covers.append(tuple(sorted(ids[e] for e in cut)))
-    return sorted(covers, key=_cover_sort_key)
-
-
-def _neighbour_masks(n: int, us, vs, removed) -> list[int]:
-    nbrs = [0] * n
-    for e, (u, v) in enumerate(zip(us, vs)):
-        if e not in removed:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
-    return nbrs
-
-
-def _flood(nbrs: list[int], seen: int, allowed: int) -> int:
-    """The vertices of ``allowed`` reachable from the mask ``seen``, with ``seen``."""
-    frontier = seen
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & allowed & ~seen
-        seen |= frontier
-    return seen
+    return edge_sets([ids[e] for e in cut] for cut in cuts)
 
 
 def _assert_bond(n: int, us, vs, cut: list[int], ids) -> None:
     """An edge set is a minimal disconnecting set exactly when deleting it
     leaves two components and each of its edges joins them."""
-    nbrs = _neighbour_masks(n, us, vs, removed=set(cut))
-    side = _flood(nbrs, 1, -1)
+    nbrs = kernels._neighbour_masks(n, us, vs, removed=set(cut))
+    side = kernels._flood(nbrs, 1, -1)
     rest = (1 << n) - 1 & ~side
-    if not rest or _flood(nbrs, rest & -rest, -1) != rest:
+    if not rest or kernels._flood(nbrs, rest & -rest, -1) != rest:
         raise AssertionError(f"{[ids[e] for e in cut]} does not leave exactly two components")
     for e in cut:
         if not (side >> us[e] ^ side >> vs[e]) & 1:
@@ -121,10 +93,9 @@ def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[tuple[str
     singles = [c.members[0] for c in layout.single_cycle_classes]
     multis = [c.members for c in layout.multiple_cycle_classes]
     covers = [(e,) for e in layout.outside_single_edges]
-    covers += [tuple(sorted(cls + (s,))) for cls in multis for s in singles]
-    covers += [tuple(sorted(pair)) for pair in combinations(singles, 2)]
-    covers += [tuple(sorted(a + b)) for a, b in combinations(multis, 2)]
-    covers += [tuple(sorted(c.members)) for c in layout.outside_multiple_classes]
-    covers.sort(key=_cover_sort_key)
-    return covers
+    covers += [cls + (s,) for cls in multis for s in singles]
+    covers += combinations(singles, 2)
+    covers += [a + b for a, b in combinations(multis, 2)]
+    covers += [c.members for c in layout.outside_multiple_classes]
+    return edge_sets(covers)
 

@@ -11,6 +11,10 @@ on its own, so the tree and bond oracles contract them
 (``contract_bridges``) and branch only on the rest, and recognition
 takes the non-bridge arcs of the class quotient as its cycle.
 
+``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
+``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
+Both stay private, so the benchmark's tracer does not time every call.
+
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps
 it on every ``--trace 1`` run, and ``BACKEND`` and ``_corex`` stay
@@ -75,8 +79,8 @@ def spanning_tree_masks(n_edges, us, vs, n_vertices):
     """
     if n_edges > MAX_EDGES:
         raise ValueError(f"spanning tree enumeration supports at most {MAX_EDGES} edges")
-    comp = _suffix_components(list(range(n_vertices)), us, vs, 0, n_edges)
-    if len({_root(comp, x) for x in range(n_vertices)}) > 1:
+    nbrs = _neighbour_masks(n_vertices, us, vs, removed=())
+    if _flood(nbrs, 1, -1) != (1 << n_vertices) - 1:
         return []
     bridges = bridge_mask(n_edges, us, vs, n_vertices)
     core, cus, cvs, k = contract_bridges(n_edges, us, vs, n_vertices, bridges)
@@ -200,3 +204,26 @@ def _root(comp, x):
         comp[x] = comp[comp[x]]
         x = comp[x]
     return x
+
+
+def _neighbour_masks(n: int, us, vs, removed) -> list[int]:
+    nbrs = [0] * n
+    for e, (u, v) in enumerate(zip(us, vs)):
+        if e not in removed:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _flood(nbrs: list[int], seen: int, allowed: int) -> int:
+    """The vertices of ``allowed`` reachable from the mask ``seen``, with ``seen``."""
+    frontier = seen
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+    return seen

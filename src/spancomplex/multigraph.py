@@ -154,9 +154,11 @@ class UnicyclicLayout:
 def build_multigraph(vertices, edges) -> Multigraph:
     """Validate raw vertex/edge lists and return a ``Multigraph``.
 
-    Raises a distinct error per defect: ``EmptyGraphError``,
-    ``DuplicateEdgeIdError``, ``UnknownEndpointError``, ``LoopEdgeError``
-    or ``DisconnectedGraphError``.
+    Vertices, edge ids and both ends of each ``(id, (u, v))`` become
+    strings.  Raises a distinct error per defect: ``EmptyGraphError``,
+    ``DuplicateEdgeIdError``, ``UnknownEndpointError``, ``LoopEdgeError``,
+    ``DisconnectedGraphError`` (from ``kernels._flood``) or
+    ``GraphValidationError``.
     """
     vertices = tuple(str(v) for v in vertices)
     if not vertices:
@@ -172,7 +174,11 @@ def build_multigraph(vertices, edges) -> Multigraph:
     norm: list[Edge] = []
     for eid, ends in edges:
         eid = str(eid)
-        u, v = ends
+        try:
+            u, v = ends
+        except (TypeError, ValueError):
+            raise GraphValidationError(f"edge {eid!r} must join exactly two vertices") from None
+        u, v = str(u), str(v)
         if eid in seen_ids:
             raise DuplicateEdgeIdError(f"duplicate edge id {eid!r}")
         seen_ids.add(eid)
@@ -184,23 +190,13 @@ def build_multigraph(vertices, edges) -> Multigraph:
             raise LoopEdgeError(f"edge {eid!r} is a loop on vertex {u!r}")
         norm.append((eid, (u, v)))
 
-    # connectivity from the first vertex
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for _, (u, v) in norm:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(vertices):
-        missing = next(v for v in vertices if v not in seen)
+    g = Multigraph(vertices=vertices, edges=tuple(norm))
+    nbrs = kernels._neighbour_masks(g.n_vertices, *edge_endpoint_indices(g), removed=())
+    reached = kernels._flood(nbrs, 1, -1)
+    if reached != (1 << g.n_vertices) - 1:
+        missing = next(v for i, v in enumerate(vertices) if not reached >> i & 1)
         raise DisconnectedGraphError(f"vertex {missing!r} is unreachable")
-
-    return Multigraph(vertices=vertices, edges=tuple(norm))
+    return g
 
 
 def parallel_classes(g: Multigraph) -> list[ParallelClass]:
@@ -309,6 +305,16 @@ def edge_endpoint_indices(g: Multigraph) -> tuple[list[int], list[int]]:
     us = [v_index[u] for _, (u, _) in g.edges]
     vs = [v_index[w] for _, (_, w) in g.edges]
     return us, vs
+
+
+def edge_sets(sets) -> list[tuple[str, ...]]:
+    """The one list format of facets and covers: each set becomes its
+    sorted edge-id tuple, and the list goes by size, then lexicographically.
+    Every facet of a connected graph has |V|-1 edges, so facets are simply
+    lexicographic."""
+    out = sorted(tuple(sorted(s)) for s in sets)
+    out.sort(key=len)
+    return out
 
 
 def _reject_duplicate_keys(pairs):

@@ -4,7 +4,8 @@ Two independent routes produce the facet set of the spanning simplicial
 complex: a closed form over the canonical uni-cyclic layout, and a
 generic backtracking enumeration of the spanning trees of any connected
 multigraph, which uses no layout information.  Their agreement is a core
-verification invariant of this package.
+verification invariant of this package.  Both list their trees
+through ``multigraph.edge_sets``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import product
 from math import prod
 
 from . import kernels
-from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
+from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices, edge_sets
 
 
 def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[tuple[str, ...]]:
@@ -23,18 +24,13 @@ def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[tuple[str, 
     every other class, on and off the cycle; a single edge outside the
     cycle is a class of one.  Each choice of the omitted class and the kept
     edges builds one tree, and different choices build different trees.
-    Each tree is its sorted edge-id tuple; the list is sorted.
     """
     cycle = [c.members for c in layout.cycle_classes]
     outside = [c.members for c in layout.outside_multiple_classes]
     outside += [(e,) for e in layout.outside_single_edges]
-    facets = [
-        tuple(sorted(pick))
-        for w in range(layout.m)
-        for pick in product(*cycle[:w], *cycle[w + 1 :], *outside)
-    ]
-    facets.sort()
-    return facets
+    return edge_sets(
+        pick for w in range(layout.m) for pick in product(*cycle[:w], *cycle[w + 1 :], *outside)
+    )
 
 
 def enumerate_spanning_trees_generic(g: Multigraph) -> list[tuple[str, ...]]:
@@ -43,17 +39,14 @@ def enumerate_spanning_trees_generic(g: Multigraph) -> list[tuple[str, ...]]:
     Each edge is taken only if it closes no cycle and left out only if
     the rest still connects the graph (``kernels.spanning_tree_masks``),
     so no branch is a dead end and the work grows with the number of
-    trees, not of forests.  Each tree is its sorted edge-id tuple; the
-    list is sorted.
+    trees, not of forests.
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    facets = [
-        tuple(sorted(ids[i] for i in range(g.n_edges) if mask >> i & 1))
+    return edge_sets(
+        [ids[i] for i in range(g.n_edges) if mask >> i & 1]
         for mask in kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
-    ]
-    facets.sort()
-    return facets
+    )
 
 
 def count_spanning_trees_layout(layout: UnicyclicLayout) -> int:

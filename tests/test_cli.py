@@ -311,11 +311,17 @@ def _last_plus_one(route):
     return lambda *args: (terms := route(*args))[:-1] + [terms[-1] + 1]
 
 
+def _first_two_plus_one(route):
+    # f_0 and f_1 up by one each: the Euler characteristic stays the same
+    return lambda *args: [(terms := route(*args))[0] + 1, terms[1] + 1] + terms[2:]
+
+
 # one wrong route in the analysis, and the one check that must catch it
 PLANTS = [
     ("enumerate_spanning_trees_layout", _drop_last, "facets:closed-form-vs-generic"),
     ("count_spanning_trees_layout", _plus_one, "count:closed-form-vs-enumeration"),
     ("closed_form_terms", _last_plus_one, "fvector:tail-zero"),
+    ("closed_form_terms", _first_two_plus_one, "fvector:closed-form-vs-bruteforce"),
     ("minimal_vertex_covers_closed_form", _drop_last, "covers:closed-form-vs-generic"),
     ("euler_from_betti", _plus_one, "euler:all-routes-agree"),
 ]
@@ -343,6 +349,12 @@ def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
         # the record names the one dropped tree or cover, not both lists
         assert record["expected"] == [list(outputs[-1][-1])]
         assert record["actual"] == []
+    if plant is _first_two_plus_one:
+        assert (record["expected"], record["actual"]) == (["7", "17", "14"], ["8", "18", "14"])
+    code, out, _ = run_cli(capsys, "analyze", FIG1)
+    assert code == 1
+    fail_line = f"  FAIL {check}: expected {record['expected']}, got {record['actual']}"
+    assert out.endswith(f"discrepancies: 1\n{fail_line}\n")
 
 
 def test_random_suite_writes_counterexample(capsys, monkeypatch, tmp_path):
@@ -401,6 +413,29 @@ def test_random_suite_smallest_layouts(capsys):
 
 
 INVALID_GRAPHS = {
+    "not_object": ([], "error: top level must be a JSON object"),
+    "extra_key": (
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]}], "x": 1},
+        "error: unexpected key 'x'",
+    ),
+    "vertex_not_string": (
+        {"vertices": ["a", 2], "edges": []},
+        "error: 'vertices' must be an array of strings",
+    ),
+    "edges_not_array": ({"vertices": ["a"], "edges": {}}, "error: 'edges' must be an array"),
+    "edge_not_object": ({"vertices": ["a"], "edges": [1]}, "error: edges[0] must be an object"),
+    "id_not_string": (
+        {"vertices": ["a", "b"], "edges": [{"id": 1, "ends": ["a", "b"]}]},
+        "error: edges[0].id must be a string",
+    ),
+    "duplicate_vertex": (
+        {"vertices": ["a", "b", "a"], "edges": [{"id": "e1", "ends": ["a", "b"]}]},
+        "error: duplicate vertex identifier 'a'",
+    ),
+    "unknown_vertex": (
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "z"]}]},
+        "error: edge 'e1' names unknown vertex 'z'",
+    ),
     "loop": (
         {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]},
                                            {"id": "e2", "ends": ["b", "b"]}]},

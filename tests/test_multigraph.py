@@ -5,6 +5,7 @@ from spancomplex import (
     DisconnectedGraphError,
     DuplicateEdgeIdError,
     EmptyGraphError,
+    GraphValidationError,
     LoopEdgeError,
     NotUnicyclicError,
     SchemaError,
@@ -54,10 +55,24 @@ def test_build_rejects_unknown_endpoint():
 
 
 def test_build_rejects_disconnected():
-    with pytest.raises(DisconnectedGraphError):
+    # the first unreached vertex in input order, not in name order
+    with pytest.raises(DisconnectedGraphError, match="^vertex 'd' is unreachable$"):
         build_multigraph(
-            ["a", "b", "c", "d"], [("e1", ("a", "b")), ("e2", ("c", "d"))]
+            ["a", "d", "b", "c"], [("e1", ("a", "b")), ("e2", ("c", "d"))]
         )
+
+
+def test_build_turns_every_name_into_a_string():
+    g = build_multigraph([1, 2, 3], [("a", (1, 2)), ("b", (2, 3)), ("c", (3, 1))])
+    assert g.vertices == ("1", "2", "3")
+    assert g.edges == (("a", ("1", "2")), ("b", ("2", "3")), ("c", ("3", "1")))
+    assert recognize_unicyclic(g).m == 3
+
+
+@pytest.mark.parametrize("ends", [("a", "b", "c"), ("a",), 7], ids=["three", "one", "int"])
+def test_build_rejects_ends_that_are_not_a_pair(ends):
+    with pytest.raises(GraphValidationError, match="^edge 'e2' must join exactly two vertices$"):
+        build_multigraph(["a", "b", "c"], [("e1", ("a", "b")), ("e2", ends)])
 
 
 def test_parallel_classes_fig1(fig1):
