@@ -24,7 +24,6 @@ from .fvector import (
     binomial,
     dimension,
     euler_characteristic,
-    f_vector_bruteforce,
     f_vector_closed_form,
 )
 from .homology import (
@@ -88,7 +87,6 @@ __all__ = [
     "euler_from_betti",
     "enumerate_spanning_trees_generic",
     "enumerate_spanning_trees_layout",
-    "f_vector_bruteforce",
     "f_vector_closed_form",
     "graded_faces",
     "load_graph_file",

@@ -9,7 +9,7 @@ routes always run when the edge budget allows.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import NotUnicyclicError
@@ -32,6 +32,21 @@ from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layo
 
 EdgeSets = list[tuple[str, ...]]
 
+# check name -> (invariant, oracle route, closed-form route), in report
+# order.  The oracle route's value is the record's ``expected``; a
+# closed-form route of None checks every route against the oracle.
+CHECKS = {
+    "facets:closed-form-vs-generic": ("facets", "generic", "closed_form"),
+    "count:closed-form-vs-enumeration": ("count", "enumeration", "closed_form"),
+    "fvector:closed-form-vs-bruteforce": ("f_vector", "bruteforce", "closed_form"),
+    "fvector:tail-zero": ("tail", "zero", "closed_form"),
+    "covers:closed-form-vs-generic": ("covers", "generic", "closed_form"),
+    "euler:all-routes-agree": ("euler", "bruteforce", None),
+}
+
+# the text report's name for each route it prints
+LABELS = {"closed_form": "closed form", "bruteforce": "brute force", "betti": "betti"}
+
 
 @dataclass(frozen=True)
 class Discrepancy:
@@ -53,7 +68,12 @@ class Discrepancy:
 
 @dataclass
 class AnalysisReport:
-    """Everything the pipeline computed for one graph."""
+    """Everything the pipeline computed for one graph.
+
+    ``routes[invariant][route]`` holds each route's value: a list of edge
+    sets, an ``FVector``, a tuple of counts or an int.  A route that did
+    not run is absent.
+    """
 
     path: str | None
     fingerprint: str
@@ -64,27 +84,18 @@ class AnalysisReport:
     layout: UnicyclicLayout | None = None
     layout_note: str | None = None
     dim: int | None = None
-    count_closed_form: int | None = None
-    facets_closed_form: EdgeSets | None = None
-    facets_generic: EdgeSets | None = None
-    f_closed_form: FVector | None = None
-    f_bruteforce: FVector | None = None
-    euler_closed_form: int | None = None
-    euler_bruteforce: int | None = None
-    euler_betti: int | None = None
+    routes: dict[str, dict[str, object]] = field(default_factory=lambda: defaultdict(dict))
     betti: BettiProfile | None = None
-    covers_closed_form: EdgeSets | None = None
-    covers_generic: EdgeSets | None = None
     discrepancies: list[Discrepancy] = field(default_factory=list)
 
     @property
     def facets(self) -> EdgeSets | None:
         """Canonical facet list: the oracle's when it ran, else closed form."""
-        return self.facets_generic if self.facets_generic is not None else self.facets_closed_form
+        return _listed(self.routes["facets"])
 
     @property
     def covers(self) -> EdgeSets | None:
-        return self.covers_generic if self.covers_generic is not None else self.covers_closed_form
+        return _listed(self.routes["covers"])
 
     def to_json_dict(self) -> dict:
         layout = None
@@ -111,8 +122,7 @@ class AnalysisReport:
                 "outside_single_edges": list(lay.outside_single_edges),
                 "canonical_labels": {e: labels[e] for e in lay.edge_order()},
             }
-        facets = self.facets
-        covers = self.covers
+        count, f, euler = self.routes["count"], self.routes["f_vector"], self.routes["euler"]
         return {
             "schema": "spancomplex/analysis-v2",
             "input": {
@@ -129,20 +139,13 @@ class AnalysisReport:
             "layout_note": self.layout_note,
             "dimension": self.dim,
             "spanning_trees": {
-                "count": str(len(facets)) if facets is not None else None,
-                "count_closed_form": (
-                    str(self.count_closed_form) if self.count_closed_form is not None else None
-                ),
-                "facets": facets,
+                "count": _show(count.get("enumeration")),
+                "count_closed_form": _show(count.get("closed_form")),
+                "facets": self.facets,
             },
-            "f_vector": {
-                "closed_form": _fv_json(self.f_closed_form),
-                "bruteforce": _fv_json(self.f_bruteforce),
-            },
+            "f_vector": {r: _show(f.get(r)) for r in ("closed_form", "bruteforce")},
             "euler_characteristic": {
-                "closed_form": _int_json(self.euler_closed_form),
-                "bruteforce": _int_json(self.euler_bruteforce),
-                "betti": _int_json(self.euler_betti),
+                r: _show(euler.get(r)) for r in ("closed_form", "bruteforce", "betti")
             },
             "homology": (
                 None
@@ -150,10 +153,10 @@ class AnalysisReport:
                 else {
                     "betti": [str(b) for b in self.betti.ranks],
                     "boundary_ranks": [str(r) for r in self.betti.boundary_ranks],
-                    "grade_sizes": _fv_json(self.f_bruteforce),
+                    "grade_sizes": _show(f.get("bruteforce")),
                 }
             ),
-            "covers": covers,
+            "covers": self.covers,
             "discrepancies": [d.to_json_dict() for d in self.discrepancies],
         }
 
@@ -172,25 +175,18 @@ class AnalysisReport:
             lines.append(f"note: {self.layout_note}")
         if self.dim is not None:
             lines.append(f"dimension: {self.dim}")
-        facets = self.facets
-        if facets is not None:
-            cf = f" (closed form {self.count_closed_form})" if self.count_closed_form is not None else ""
-            lines.append(f"spanning trees: {len(facets)}{cf}")
-        if self.f_closed_form is not None:
-            lines.append("f-vector (closed form): " + " ".join(str(c) for c in self.f_closed_form))
-        if self.f_bruteforce is not None:
-            lines.append("f-vector (brute force): " + " ".join(str(c) for c in self.f_bruteforce))
-        euler_bits = [
-            f"{name} {val}"
-            for name, val in (
-                ("closed-form", self.euler_closed_form),
-                ("brute-force", self.euler_bruteforce),
-                ("betti", self.euler_betti),
+        count = self.routes["count"]
+        if "enumeration" in count:
+            cf = f" (closed form {count['closed_form']})" if "closed_form" in count else ""
+            lines.append(f"spanning trees: {count['enumeration']}{cf}")
+        for route, fv in self.routes["f_vector"].items():
+            lines.append(f"f-vector ({LABELS[route]}): " + " ".join(_show(fv)))
+        euler = self.routes["euler"]
+        if euler:
+            lines.append(
+                "euler characteristic: "
+                + ", ".join(f"{LABELS[r].replace(' ', '-')} {v}" for r, v in euler.items())
             )
-            if val is not None
-        ]
-        if euler_bits:
-            lines.append("euler characteristic: " + ", ".join(euler_bits))
         if self.betti is not None:
             lines.append("betti numbers: " + " ".join(str(b) for b in self.betti.ranks))
             ranks = " ".join(
@@ -198,7 +194,7 @@ class AnalysisReport:
             )
             if ranks:
                 lines.append("boundary ranks: " + ranks)
-        covers = self.covers
+        facets, covers = self.facets, self.covers
         if covers is not None:
             rendered = " ".join("{" + ",".join(c) + "}" for c in covers)
             lines.append(f"minimal covers ({len(covers)}): {rendered}")
@@ -214,12 +210,22 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _fv_json(fv: FVector | None):
-    return None if fv is None else [str(c) for c in fv.counts]
+def _listed(values: dict[str, object]) -> EdgeSets | None:
+    """The oracle's list when it ran, else the closed form's."""
+    return values.get("generic", values.get("closed_form"))
 
 
-def _int_json(x: int | None):
-    return None if x is None else str(x)
+def _show(value, other=()):
+    """A route's value as the report prints it: an int as a decimal string,
+    a sequence of counts as a list of them, and a list of edge sets as its
+    entries that ``other`` does not match."""
+    if value is None:
+        return None
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, list):
+        return _unmatched(value, other)
+    return [str(c) for c in value]
 
 
 def run_analyze(
@@ -245,9 +251,9 @@ def run_analyze(
         budget=budget,
         oracle_enabled=not no_oracle,
     )
+    routes = report.routes
 
     layout: UnicyclicLayout | None = None
-    tail: list[int] = []
     try:
         layout = recognize_unicyclic(g)
     except NotUnicyclicError as exc:
@@ -256,30 +262,33 @@ def run_analyze(
 
     if layout is not None:
         report.dim = dimension(layout)
-        report.count_closed_form = count_spanning_trees_layout(layout)
-        report.facets_closed_form = enumerate_spanning_trees_layout(layout)
+        routes["count"]["closed_form"] = count_spanning_trees_layout(layout)
+        routes["facets"]["closed_form"] = enumerate_spanning_trees_layout(layout)
         # one closed-form pass: the f-vector, then the terms that must vanish
         terms = closed_form_terms(layout)
-        report.f_closed_form = FVector(tuple(terms[: report.dim + 1]))
-        tail = terms[report.dim + 1 :]
-        report.euler_closed_form = euler_characteristic(report.f_closed_form)
-        report.covers_closed_form = minimal_vertex_covers_closed_form(layout)
+        fv = routes["f_vector"]["closed_form"] = FVector(tuple(terms[: report.dim + 1]))
+        tail = routes["tail"]["closed_form"] = tuple(terms[report.dim + 1 :])
+        routes["tail"]["zero"] = (0,) * len(tail)
+        routes["euler"]["closed_form"] = euler_characteristic(fv)
+        routes["covers"]["closed_form"] = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
         # canonical_edge_order(g), from the recognition above
         edge_order = layout.edge_order() if layout is not None else g.edge_ids()
         faces = graded_faces(g, budget=budget, edge_order=edge_order)
         # g is connected, so its largest forests are its spanning trees
-        report.facets_generic = edge_sets(faces.names(f) for f in faces.grades[-1])
-        report.f_bruteforce = FVector(faces.sizes())
-        report.euler_bruteforce = euler_characteristic(report.f_bruteforce)
+        routes["facets"]["generic"] = edge_sets(faces.names(t) for t in faces.grades[-1])
+        fv = routes["f_vector"]["bruteforce"] = FVector(faces.sizes())
+        routes["euler"]["bruteforce"] = euler_characteristic(fv)
         report.betti = betti_from_faces(faces)
-        report.euler_betti = euler_from_betti(report.betti)
-        report.covers_generic = minimal_vertex_covers_generic(g)
+        routes["euler"]["betti"] = euler_from_betti(report.betti)
+        routes["covers"]["generic"] = minimal_vertex_covers_generic(g)
         if report.dim is None:
-            report.dim = len(report.facets_generic[0]) - 1
+            report.dim = fv.dim
 
-    report.discrepancies = _cross_checks(report, tail)
+    if report.facets is not None:
+        routes["count"]["enumeration"] = len(report.facets)
+    report.discrepancies = _checks(report)
     return report
 
 
@@ -301,50 +310,20 @@ def _unmatched(sets: EdgeSets, others: EdgeSets) -> list[list[str]]:
     return out
 
 
-def _cross_checks(report: AnalysisReport, tail: list[int]) -> list[Discrepancy]:
+def _checks(report: AnalysisReport) -> list[Discrepancy]:
+    """One record per ``CHECKS`` row whose routes ran and differ."""
     out: list[Discrepancy] = []
     fp = report.fingerprint
-
-    def fail(check, expected, actual):
-        out.append(Discrepancy(check=check, expected=expected, actual=actual, fingerprint=fp))
-
-    if report.facets_closed_form is not None and report.facets_generic is not None:
-        if report.facets_closed_form != report.facets_generic:
-            fail(
-                "facets:closed-form-vs-generic",
-                _unmatched(report.facets_generic, report.facets_closed_form),
-                _unmatched(report.facets_closed_form, report.facets_generic),
-            )
-    if report.count_closed_form is not None and report.facets_closed_form is not None:
-        enumerated = len(report.facets_generic or report.facets_closed_form)
-        if report.count_closed_form != enumerated:
-            fail("count:closed-form-vs-enumeration", str(enumerated), str(report.count_closed_form))
-    if report.f_closed_form is not None and report.f_bruteforce is not None:
-        if report.f_closed_form.counts != report.f_bruteforce.counts:
-            fail(
-                "fvector:closed-form-vs-bruteforce",
-                [str(c) for c in report.f_bruteforce.counts],
-                [str(c) for c in report.f_closed_form.counts],
-            )
-    if any(tail):
-        fail("fvector:tail-zero", ["0"] * len(tail), [str(t) for t in tail])
-    if report.covers_closed_form is not None and report.covers_generic is not None:
-        if report.covers_closed_form != report.covers_generic:
-            fail(
-                "covers:closed-form-vs-generic",
-                _unmatched(report.covers_generic, report.covers_closed_form),
-                _unmatched(report.covers_closed_form, report.covers_generic),
-            )
-    eulers = {
-        name: val
-        for name, val in (
-            ("closed_form", report.euler_closed_form),
-            ("bruteforce", report.euler_bruteforce),
-            ("betti", report.euler_betti),
-        )
-        if val is not None
-    }
-    if len(set(eulers.values())) > 1:
-        reference = report.euler_bruteforce
-        fail("euler:all-routes-agree", _int_json(reference), {k: str(v) for k, v in eulers.items()})
+    for check, (invariant, oracle, closed) in CHECKS.items():
+        values = report.routes[invariant]
+        if oracle not in values:
+            continue
+        expected = values[oracle]
+        if closed is None:
+            if any(v != expected for v in values.values()):
+                actual = {route: _show(v) for route, v in values.items()}
+                out.append(Discrepancy(check, _show(expected), actual, fp))
+        elif closed in values and values[closed] != expected:
+            actual = values[closed]
+            out.append(Discrepancy(check, _show(expected, actual), _show(actual, expected), fp))
     return out

@@ -4,8 +4,9 @@ A face is an acyclic edge subset (a forest): in a connected multigraph a
 subset extends to a spanning tree exactly when it is a forest.  The
 f-vector (f_0, ..., f_d) counts faces per dimension; f_i is the number
 of forests with i+1 edges.  Two routes compute it: brute-force forest
-enumeration, and a closed form over the uni-cyclic layout built from
-binomial sums with inclusion-exclusion over the multiple classes.
+enumeration (``homology.graded_faces(g).sizes()``), and the closed form
+here, over the uni-cyclic layout, built from binomial sums with
+inclusion-exclusion over the multiple classes.
 
 The closed form's double sums are evaluated in swapped order, with the
 outer loop over the summation index l and the inner loop over the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import BudgetExceededError
-from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices
+from .multigraph import UnicyclicLayout
 
 DEFAULT_BUDGET = 24
 
@@ -69,19 +70,6 @@ def require_budget(n_edges: int, budget: int, stage: str) -> None:
         raise ValueError(f"budget must be between 1 and {kernels.MAX_EDGES}, got {budget}")
     if n_edges > budget:
         raise BudgetExceededError(stage, n_edges, budget)
-
-
-def f_vector_bruteforce(g: Multigraph, budget: int = DEFAULT_BUDGET) -> FVector:
-    """Oracle route: f_i by explicit enumeration of all forests, counted
-    per cardinality (index k holds the number with k+1 edges)."""
-    require_budget(g.n_edges, budget, "f-vector brute force")
-    us, vs = edge_endpoint_indices(g)
-    sizes = [0] * g.n_edges
-    for mask in kernels.forest_masks(g.n_edges, us, vs, g.n_vertices):
-        sizes[mask.bit_count() - 1] += 1
-    while sizes and sizes[-1] == 0:
-        sizes.pop()
-    return FVector(tuple(sizes))
 
 
 def _elementary_symmetric(values) -> list[int]:

@@ -154,13 +154,14 @@ class UnicyclicLayout:
 def build_multigraph(vertices, edges) -> Multigraph:
     """Validate raw vertex/edge lists and return a ``Multigraph``.
 
-    Vertices, edge ids and both ends of each ``(id, (u, v))`` become
-    strings.  Raises a distinct error per defect: ``EmptyGraphError``,
-    ``DuplicateEdgeIdError``, ``UnknownEndpointError``, ``LoopEdgeError``,
-    ``DisconnectedGraphError`` (from ``kernels._flood``) or
-    ``GraphValidationError``.
+    ``edges`` is any iterable of ``(id, (u, v))`` records.  Vertices, edge
+    ids and both ends of each record become strings.  Raises a distinct
+    error per defect: ``EmptyGraphError``, ``DuplicateEdgeIdError``,
+    ``UnknownEndpointError``, ``LoopEdgeError``, ``DisconnectedGraphError``
+    (from ``kernels._flood``) or ``GraphValidationError``.
     """
     vertices = tuple(str(v) for v in vertices)
+    edges = list(edges)
     if not vertices:
         raise EmptyGraphError("vertex list is empty")
     if not edges:
@@ -172,7 +173,11 @@ def build_multigraph(vertices, edges) -> Multigraph:
     vset = set(vertices)
     seen_ids: set[str] = set()
     norm: list[Edge] = []
-    for eid, ends in edges:
+    for i, record in enumerate(edges):
+        try:
+            eid, ends = record
+        except (TypeError, ValueError):
+            raise GraphValidationError(f"edge record {i} must be a pair (id, ends)") from None
         eid = str(eid)
         try:
             u, v = ends

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import spancomplex
 from spancomplex import analysis, build_multigraph, homology, kernels, run_analyze
-from spancomplex.fvector import f_vector_bruteforce
 from spancomplex.spanning import enumerate_spanning_trees_generic
+
+import bruteforce
 
 
 def _cycle(n):
@@ -49,8 +53,8 @@ def test_run_analyze_recognizes_once(request, monkeypatch, name):
 def test_one_pass_matches_separate_oracles(request, name):
     g = request.getfixturevalue(name)
     report = run_analyze(g)
-    assert report.facets_generic == enumerate_spanning_trees_generic(g)
-    assert report.f_bruteforce == f_vector_bruteforce(g)
+    assert report.routes["facets"]["generic"] == enumerate_spanning_trees_generic(g)
+    assert report.routes["f_vector"]["bruteforce"].counts == bruteforce.forest_counts(g)
 
 
 @pytest.mark.parametrize("budget", [0, 100])
@@ -67,3 +71,8 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from spancomplex import *", namespace)
     assert set(spancomplex.__all__) <= set(namespace)
+
+
+def test_readme_lists_every_check():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert re.findall(r"^- `([a-z]+:[a-z-]+)`", readme, re.M) == list(analysis.CHECKS)

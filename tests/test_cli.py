@@ -272,6 +272,24 @@ def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
         assert _sha256(out.replace(FIG1, "<path>").encode()) == digest, (command, *flags)
 
 
+# the report without the oracle routes, and the report of a graph that is not
+# uni-cyclic: no closed-form route runs and the layout is null
+REPORT_STDOUT_SHA256 = {
+    (FIG1, "--no-oracle", "--json"): "3bccac58d3c5a8081189bad8f765af81ebb94bb546422a4e5a69ddc745728130",
+    (FIG1, "--no-oracle"): "1d480a01a6f3e8156a1eeedffea1a73b18050ca9a7efd005525e88ce0402a9f8",
+    (THETA, "--json"): "677c33ce33b7d31401d96c5f6c466828c952f96de6aaf7552ef986adefd43bde",
+    (THETA,): "f7c54086a74e78c79d18f9a5556ba0968b048f49ed2e6796fff244d6446ec18c",
+}
+
+
+def test_report_paths_match_golden_bytes(capsys):
+    for (path, *flags), digest in REPORT_STDOUT_SHA256.items():
+        code, out, err = run_cli(capsys, "analyze", path, *flags)
+        assert (code, err) == (0, ""), (path, *flags)
+        assert out.count(path) == 1
+        assert _sha256(out.replace(path, "<path>").encode()) == digest, (path, *flags)
+
+
 # layout_graph([2, 1, 1], (2,), 3): the three pendant edges are bridges,
 # which no fixture has
 BRIDGED_STDOUT_SHA256 = {

@@ -34,6 +34,17 @@ def test_build_rejects_empty_edge_list():
         build_multigraph(["a"], [])
 
 
+def test_build_rejects_empty_edge_generator():
+    with pytest.raises(EmptyGraphError, match="edge list is empty"):
+        build_multigraph(["a"], iter([]))
+
+
+def test_build_reads_edges_from_a_generator():
+    g = build_multigraph("abc", ((f"e{i}", (u, v)) for i, (u, v) in enumerate(["ab", "bc", "ca"])))
+    assert g.edge_ids() == ("e0", "e1", "e2")
+    assert recognize_unicyclic(g).m == 3
+
+
 def test_build_rejects_empty_vertex_list():
     with pytest.raises(EmptyGraphError):
         build_multigraph([], [("e1", ("a", "b"))])
@@ -73,6 +84,12 @@ def test_build_turns_every_name_into_a_string():
 def test_build_rejects_ends_that_are_not_a_pair(ends):
     with pytest.raises(GraphValidationError, match="^edge 'e2' must join exactly two vertices$"):
         build_multigraph(["a", "b", "c"], [("e1", ("a", "b")), ("e2", ends)])
+
+
+@pytest.mark.parametrize("record", [("e1", "a", "b"), None], ids=["triple", "none"])
+def test_build_rejects_malformed_edge_record(record):
+    with pytest.raises(GraphValidationError, match=r"^edge record 1 must be a pair \(id, ends\)$"):
+        build_multigraph(["a", "b"], [("e0", ("a", "b")), record])
 
 
 def test_parallel_classes_fig1(fig1):
