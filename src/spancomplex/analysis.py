@@ -13,20 +13,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import NotUnicyclicError
-from .fvector import (
-    DEFAULT_BUDGET,
-    FVector,
-    closed_form_terms,
-    dimension,
-    euler_characteristic,
-    require_budget,
-)
+from .fvector import FVector, closed_form_terms, dimension, euler_characteristic
 from .homology import BettiProfile, betti_from_faces, euler_from_betti, graded_faces
 from .ideal import (
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
     render_decomposition,
 )
+from .kernels import DEFAULT_BUDGET, require_budget
 from .multigraph import Multigraph, UnicyclicLayout, edge_sets, recognize_unicyclic
 from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
 
@@ -273,9 +267,7 @@ def run_analyze(
         routes["covers"]["closed_form"] = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
-        # canonical_edge_order(g), from the recognition above
-        edge_order = layout.edge_order() if layout is not None else g.edge_ids()
-        faces = graded_faces(g, budget=budget, edge_order=edge_order)
+        faces = graded_faces(g, budget=budget)
         # g is connected, so its largest forests are its spanning trees
         routes["facets"]["generic"] = edge_sets(faces.names(t) for t in faces.grades[-1])
         fv = routes["f_vector"]["bruteforce"] = FVector(faces.sizes())

@@ -10,6 +10,7 @@ for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -21,11 +22,10 @@ from .errors import (
     NotUnicyclicError,
     SchemaError,
 )
-from .fvector import DEFAULT_BUDGET, require_budget
 from .homology import betti_from_faces, boundary_matrix, euler_from_betti, graded_faces
 from .ideal import minimal_vertex_covers_generic, render_decomposition
-from .kernels import MAX_EDGES
-from .multigraph import Multigraph, load_graph_file
+from .kernels import DEFAULT_BUDGET, MAX_EDGES, require_budget
+from .multigraph import Multigraph, load_graph_file, recognize_unicyclic
 from .randomgraphs import random_suite
 from .spanning import enumerate_spanning_trees_generic
 
@@ -97,6 +97,12 @@ def cmd_covers(args) -> int:
 
 def cmd_homology(args) -> int:
     g = parse_graph_file(args.path)
+    if args.dump_matrices:
+        # a uni-cyclic graph's dump follows its canonical labels, not the file's order
+        with contextlib.suppress(NotUnicyclicError):
+            ends = dict(g.edges)
+            order = recognize_unicyclic(g).edge_order()
+            g = Multigraph(g.vertices, tuple((e, ends[e]) for e in order))
     faces = graded_faces(g, budget=args.budget)
     betti = betti_from_faces(faces)
     if args.dump_matrices:

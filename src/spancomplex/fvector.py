@@ -23,11 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import kernels
-from .errors import BudgetExceededError
 from .multigraph import UnicyclicLayout
-
-DEFAULT_BUDGET = 24
 
 
 @dataclass(frozen=True)
@@ -58,18 +54,6 @@ def dimension(layout: UnicyclicLayout) -> int:
     so every facet has n - alpha - beta + r - 1 edges.
     """
     return layout.n - layout.alpha - layout.beta + layout.r - 2
-
-
-def require_budget(n_edges: int, budget: int, stage: str) -> None:
-    """Raise ``BudgetExceededError`` when ``n_edges`` exceeds ``budget``.
-
-    A budget outside 1..``kernels.MAX_EDGES`` is a ``ValueError``: forest
-    enumeration cannot honour it.
-    """
-    if not 1 <= budget <= kernels.MAX_EDGES:
-        raise ValueError(f"budget must be between 1 and {kernels.MAX_EDGES}, got {budget}")
-    if n_edges > budget:
-        raise BudgetExceededError(stage, n_edges, budget)
 
 
 def _elementary_symmetric(values) -> list[int]:
@@ -119,19 +103,17 @@ def _pascal_sums(base: int, coeffs: list[int], lo: int, hi: int) -> tuple[list[i
     """C(base, q) and sum_{l>=1} coeffs[l] C(base-l, q-l), for q = lo..hi-1.
 
     ``coeffs`` comes from ``_lift``, so coeffs[1] = 0 and the sum starts
-    at l = 2.  The outer loop runs over l and keeps one column
-    V_l[q] = C(base-l, q-l); V_0 is ``_column(base, lo, hi)``.  For
-    base - l >= 0, Pascal's rule V_{l-1}[q] = V_l[q] + V_l[q+1] holds at
-    every q, so V_l is filled from the top down,
-    V_l[q] = V_{l-1}[q] - V_l[q+1], from one ``math.comb`` at q = hi-1.
-    Below q = l, and for every l once base - l < 0, V_l is 0.
+    at l = 2, and it has at most base + 1 entries, so l <= base.  The
+    outer loop runs over l and keeps one column V_l[q] = C(base-l, q-l);
+    V_0 is ``_column(base, lo, hi)``.  As base - l >= 0, Pascal's rule
+    V_{l-1}[q] = V_l[q] + V_l[q+1] holds at every q, so V_l is filled
+    from the top down, V_l[q] = V_{l-1}[q] - V_l[q+1], from one
+    ``math.comb`` at q = hi-1.  Below q = l, V_l is 0.
     """
     width = hi - lo
     lead = prev = _column(base, lo, hi)
     sums = [0] * width
     for l in range(1, min(len(coeffs), hi)):
-        if base - l < 0:
-            break
         c = coeffs[l]
         col = [0] * width
         value = binomial(base - l, hi - 1 - l)

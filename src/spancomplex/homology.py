@@ -1,8 +1,11 @@
 """Simplicial chain complex of the spanning complex, over the integers.
 
 Faces are forests, kept as the kernel's bitmasks (``GradedFaces.names``
-decodes one), graded by dimension and ordered by a fixed global edge
-order; the boundary maps are the usual signed incidence matrices.
+decodes one), graded by dimension and ordered by the graph's input edge
+order, the tie-break rule of ``Multigraph``; the boundary maps are the
+usual signed incidence matrices.  The enumeration depends on the graph
+alone, never on its uni-cyclic layout, so it stays an independent oracle
+for the closed forms.
 Betti numbers are ranks of homology over the rationals.
 ``betti_from_faces`` gets every boundary rank from one sparse column
 reduction with clearing (Chen & Kerber, "Persistent homology computation
@@ -27,9 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import kernels
-from .errors import NotUnicyclicError
-from .fvector import DEFAULT_BUDGET, require_budget
-from .multigraph import Multigraph, edge_endpoint_indices, recognize_unicyclic
+from .multigraph import Multigraph, edge_endpoint_indices
 
 
 @dataclass(frozen=True)
@@ -88,40 +89,21 @@ class BettiProfile:
     boundary_ranks: tuple[int, ...]
 
 
-def canonical_edge_order(g: Multigraph) -> tuple[str, ...]:
-    """Global vertex order of the complex: the canonical layout order when
-    the graph is uni-cyclic, input edge order otherwise."""
-    try:
-        return recognize_unicyclic(g).edge_order()
-    except NotUnicyclicError:
-        return g.edge_ids()
-
-
-def graded_faces(
-    g: Multigraph, budget: int = DEFAULT_BUDGET, edge_order: tuple[str, ...] | None = None
-) -> GradedFaces:
+def graded_faces(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
-    ``edge_order`` is ``canonical_edge_order(g)``, computed here unless a
-    caller that already recognized ``g`` passes it.  The edges are indexed
-    in its reverse, so the ascending masks of ``kernels.forest_masks``,
-    walked backwards, give every grade in order with no sorting; see
+    The global order is ``g.edge_ids()``.  The edges are indexed in its
+    reverse, so the ascending masks of ``kernels.forest_masks``, walked
+    backwards, give every grade in order with no sorting; see
     ``GradedFaces``.
     """
-    require_budget(g.n_edges, budget, "graded face enumeration")
-    if edge_order is None:
-        edge_order = canonical_edge_order(g)
-    index = {e: i for i, e in enumerate(g.edge_ids())}
+    kernels.require_budget(g.n_edges, budget, "graded face enumeration")
     us, vs = edge_endpoint_indices(g)
-    perm = [index[e] for e in reversed(edge_order)]
-    us = [us[i] for i in perm]
-    vs = [vs[i] for i in perm]
-
     # g is connected, so its largest forests have |V| - 1 edges
     grades: list[list[int]] = [[] for _ in range(g.n_vertices - 1)]
-    for mask in reversed(kernels.forest_masks(g.n_edges, us, vs, g.n_vertices)):
+    for mask in reversed(kernels.forest_masks(g.n_edges, us[::-1], vs[::-1], g.n_vertices)):
         grades[mask.bit_count() - 1].append(mask)
-    return GradedFaces(edge_order=edge_order, grades=tuple(map(tuple, grades)))
+    return GradedFaces(edge_order=g.edge_ids(), grades=tuple(map(tuple, grades)))
 
 
 def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
@@ -152,7 +134,7 @@ def _boundary(face: int) -> dict[int, int]:
     return column
 
 
-def betti_numbers(g: Multigraph, budget: int = DEFAULT_BUDGET) -> BettiProfile:
+def betti_numbers(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> BettiProfile:
     """Betti numbers beta_i = nullity(d_i) - rank(d_{i+1}) for i = 0..d.
 
     The 0-th boundary map is zero, so nullity(d_0) = f_0 and beta_0

@@ -11,6 +11,9 @@ on its own, so the tree and bond oracles contract them
 (``contract_bridges``) and branch only on the rest, and recognition
 takes the non-bridge arcs of the class quotient as its cycle.
 
+``require_budget`` gates every enumeration stage by its edge count, at
+``DEFAULT_BUDGET`` unless the caller sets a budget up to ``MAX_EDGES``.
+
 ``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
 ``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
 Both stay private, so the benchmark's tracer does not time every call.
@@ -22,12 +25,28 @@ because the harness records them.  They go when the benchmark reads an
 in-package trace instead (ROADMAP item 4).
 """
 
+from ..errors import BudgetExceededError
+
 BACKEND = "python"
 _corex = None
 
 # Widest edge list the enumerations accept, and so the largest enumeration
 # budget; no enumeration of 2**62 subsets would finish anyway.
 MAX_EDGES = 62
+
+DEFAULT_BUDGET = 24
+
+
+def require_budget(n_edges: int, budget: int, stage: str) -> None:
+    """Raise ``BudgetExceededError`` when ``n_edges`` exceeds ``budget``.
+
+    A budget outside 1..``MAX_EDGES`` is a ``ValueError``: forest
+    enumeration cannot honour it.
+    """
+    if not 1 <= budget <= MAX_EDGES:
+        raise ValueError(f"budget must be between 1 and {MAX_EDGES}, got {budget}")
+    if n_edges > budget:
+        raise BudgetExceededError(stage, n_edges, budget)
 
 
 def forest_masks(n_edges, us, vs, n_vertices):

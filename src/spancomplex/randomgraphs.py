@@ -59,6 +59,12 @@ def random_unicyclic_multigraph(rng: random.Random, max_edges: int = 12) -> Mult
 
 
 def random_suite(seed: int, count: int, max_edges: int = 12) -> list[Multigraph]:
-    """The deterministic verification family for a given seed."""
+    """The deterministic verification family for a given seed.
+
+    Raises ``ValueError`` for ``max_edges`` below 3: the smallest
+    uni-cyclic multigraph is the simple triangle, so no draw could pass.
+    """
+    if max_edges < 3:
+        raise ValueError(f"max_edges must be at least 3, got {max_edges}")
     rng = random.Random(seed)
     return [random_unicyclic_multigraph(rng, max_edges) for _ in range(count)]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import spancomplex
-from spancomplex import analysis, build_multigraph, homology, kernels, run_analyze
+from spancomplex import analysis, build_multigraph, kernels, run_analyze
 from spancomplex.spanning import enumerate_spanning_trees_generic
 
 import bruteforce
@@ -42,8 +42,7 @@ def test_run_analyze_recognizes_once(request, monkeypatch, name):
         calls.append(graph)
         return recognize(graph)
 
-    for module in (analysis, homology):
-        monkeypatch.setattr(module, "recognize_unicyclic", counting)
+    monkeypatch.setattr(analysis, "recognize_unicyclic", counting)
     report = run_analyze(g)
     assert calls == [g]
     assert not report.discrepancies

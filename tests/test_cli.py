@@ -272,6 +272,27 @@ def test_fig1_outputs_match_golden_bytes(capsys, tmp_path):
         assert _sha256(out.replace(FIG1, "<path>").encode()) == digest, (command, *flags)
 
 
+# fig1 with its edge list reversed: the dump lists the faces in the canonical
+# order e13 e12 e11 e21 e31 e42 e41, a relabelling of fig1's, so the bytes are
+# fig1's
+REVERSED_FIG1_DUMP_SHA256 = [
+    "d0837df92dc90b5158670a9c464dbf5892d1dbf941e3ade2b73afde1412c5afb",
+    "2b176fa01f14fbee79c41f88668fd3366c085d3c7a1056b1e22c7d1983035f08",
+]
+
+
+def test_reversed_fig1_dump_matches_golden_bytes(capsys, tmp_path):
+    doc = json.loads(Path(FIG1).read_text())
+    doc["edges"].reverse()
+    path = tmp_path / "fig1_reversed.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "mats"
+    code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(outdir))
+    assert code == 0
+    digests = [_sha256(f.read_bytes()) for f in sorted(outdir.iterdir())]
+    assert digests == REVERSED_FIG1_DUMP_SHA256
+
+
 # the report without the oracle routes, and the report of a graph that is not
 # uni-cyclic: no closed-form route runs and the layout is null
 REPORT_STDOUT_SHA256 = {
@@ -423,6 +444,18 @@ def test_random_suite_bad_arguments_are_input_errors(capsys, flag, value, low):
     )
 
 
+def test_random_suite_non_integer_count_is_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["random-suite", "--count", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --count: invalid int value: 'abc'"
+    )
+
+
 def test_random_suite_smallest_layouts(capsys):
     code, out, _ = run_cli(capsys, "random-suite", "--count", "3", "--max-edges", "3")
     assert code == 0
@@ -518,10 +551,26 @@ def test_budget_out_of_range_is_input_error(capsys, tmp_path, command, budget):
     )
 
 
-def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64), "--budget", "62")
-    assert code == 3
-    assert "budget" in err
+@pytest.mark.parametrize("command", ["analyze", "verify", "facets", "covers", "homology"])
+def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path, command):
+    path = _cycle_file(tmp_path, 64)
+    stage = "graded face" if command == "homology" else "spanning tree"
+    assert run_cli(capsys, command, path, "--budget", "62") == (
+        3,
+        "",
+        f"error: {stage} enumeration: instance has 64 edges, exceeding the enumeration "
+        "budget of 62\n",
+    )
+
+
+def test_random_suite_over_budget_reports_budget_exceeded(capsys):
+    # the first graph of seed 42 with at most 30 edges has 8
+    assert run_cli(capsys, "random-suite", "--max-edges", "30", "--budget", "5") == (
+        3,
+        "",
+        "error: spanning tree enumeration: instance has 8 edges, "
+        "exceeding the enumeration budget of 5\n",
+    )
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -32,6 +32,12 @@ def test_global_order_uses_canonical_labels(fig1):
     assert faces.edge_order == ("e11", "e12", "e13", "e21", "e31", "e41", "e42")
 
 
+def test_global_order_is_input_edge_order(fig1):
+    # the canonical order of the reversed list would be e13 e12 e11 e21 e31 e42 e41
+    g = build_multigraph(fig1.vertices, reversed(fig1.edges))
+    assert graded_faces(g).edge_order == g.edge_ids()
+
+
 def test_grades_hold_every_forest_in_global_order(fig1, triangle, c211, theta, suite_graphs):
     # each face sorted by the global order, each grade sorted as positions
     for g in [fig1, triangle, c211, theta] + suite_graphs[:40]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +17,7 @@ from spancomplex import (
     parallel_classes,
     recognize_unicyclic,
 )
+from spancomplex import randomgraphs
 from spancomplex.multigraph import _quotient_cycle
 from spancomplex.randomgraphs import random_suite
 
@@ -63,6 +66,8 @@ def test_build_rejects_duplicate_edge_id():
 def test_build_rejects_unknown_endpoint():
     with pytest.raises(UnknownEndpointError):
         build_multigraph(["a", "b"], [("e", ("a", "z"))])
+    with pytest.raises(UnknownEndpointError, match="edge 'e' names unknown vertex 'z'"):
+        build_multigraph(["a", "b"], [("e", ("z", "a"))])
 
 
 def test_build_rejects_disconnected():
@@ -260,6 +265,22 @@ def test_json_forwards_validation_errors():
     )
     with pytest.raises(DuplicateEdgeIdError, match="e1"):
         multigraph_from_json(doc)
+
+
+@pytest.mark.parametrize("max_edges", [2, 0, -1])
+def test_random_suite_rejects_max_edges_below_three(monkeypatch, max_edges):
+    # no uni-cyclic multigraph has fewer than 3 edges, so no draw is made
+    def no_draws(*args):
+        raise AssertionError("drew a layout")
+
+    monkeypatch.setattr(randomgraphs, "random_unicyclic_multigraph", no_draws)
+    with pytest.raises(ValueError, match=f"max_edges must be at least 3, got {max_edges}"):
+        random_suite(1, 1, max_edges)
+
+
+def test_random_layout_keeps_attempt_limit():
+    with pytest.raises(RuntimeError, match="no admissible layout found in 10000 draws"):
+        randomgraphs.random_unicyclic_multigraph(random.Random(1), 2)
 
 
 def test_random_suite_is_deterministic():
