@@ -95,7 +95,6 @@ class AnalysisReport:
         layout = None
         if self.layout is not None:
             lay = self.layout
-            labels = lay.canonical_labels()
             layout = {
                 "n": lay.n,
                 "m": lay.m,
@@ -114,7 +113,7 @@ class AnalysisReport:
                     for c in lay.outside_multiple_classes
                 ],
                 "outside_single_edges": list(lay.outside_single_edges),
-                "canonical_labels": {e: labels[e] for e in lay.edge_order()},
+                "canonical_labels": lay.canonical_labels(),
             }
         count, f, euler = self.routes["count"], self.routes["f_vector"], self.routes["euler"]
         return {

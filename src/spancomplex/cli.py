@@ -131,6 +131,9 @@ def cmd_homology(args) -> int:
 
 def cmd_random_suite(args) -> int:
     graphs = random_suite(args.seed, args.count, args.max_edges)
+    # every graph must fit the budget before any is verified
+    for g in graphs:
+        require_budget(g.n_edges, args.budget, "spanning tree enumeration")
     failures = []
     for g in graphs:
         discrepancies = run_verify(g, budget=args.budget)

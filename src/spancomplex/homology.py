@@ -93,15 +93,15 @@ def graded_faces(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> GradedF
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
     The global order is ``g.edge_ids()``.  The edges are indexed in its
-    reverse, so the ascending masks of ``kernels.forest_masks``, walked
-    backwards, give every grade in order with no sorting; see
-    ``GradedFaces``.
+    reverse, so ``kernels.forest_masks``, which lists each size in
+    descending mask order, gives every grade in the global order; nothing
+    is sorted.  See ``GradedFaces``.
     """
     kernels.require_budget(g.n_edges, budget, "graded face enumeration")
     us, vs = edge_endpoint_indices(g)
     # g is connected, so its largest forests have |V| - 1 edges
     grades: list[list[int]] = [[] for _ in range(g.n_vertices - 1)]
-    for mask in reversed(kernels.forest_masks(g.n_edges, us[::-1], vs[::-1], g.n_vertices)):
+    for mask in kernels.forest_masks(us[::-1], vs[::-1], g.n_vertices):
         grades[mask.bit_count() - 1].append(mask)
     return GradedFaces(edge_order=g.edge_ids(), grades=tuple(map(tuple, grades)))
 

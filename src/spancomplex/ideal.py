@@ -43,8 +43,8 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    bridges = kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices)
-    core, cus, cvs, k = kernels.contract_bridges(g.n_edges, us, vs, g.n_vertices, bridges)
+    bridges = kernels.bridge_mask(us, vs, g.n_vertices)
+    core, cus, cvs, k = kernels.contract_bridges(us, vs, g.n_vertices, bridges)
     cuts = [[e] for e in range(g.n_edges) if bridges >> e & 1]
     nbrs = kernels._neighbour_masks(k, cus, cvs, removed=())
 

@@ -2,7 +2,7 @@
 
 Pure Python with arbitrary-precision arithmetic; each edge subset is one
 int bitmask over the edge indices.  ``forest_masks`` lists every face of
-the complex, for the f-vector and the graded faces.
+the complex, each size in descending mask order, with no sort.
 ``spanning_tree_masks`` lists only the facets, the spanning trees, with
 no detour through the other forests.  ``bridge_mask`` finds the bridges,
 the coloops of the cycle matroid, by one depth-first search from the
@@ -12,7 +12,8 @@ on its own, so the tree and bond oracles contract them
 takes the non-bridge arcs of the class quotient as its cycle.
 
 ``require_budget`` gates every enumeration stage by its edge count, at
-``DEFAULT_BUDGET`` unless the caller sets a budget up to ``MAX_EDGES``.
+``DEFAULT_BUDGET`` unless the caller sets a budget up to ``MAX_EDGES``,
+which caps forest enumeration alone.
 
 ``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
 ``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
@@ -30,8 +31,8 @@ from ..errors import BudgetExceededError
 BACKEND = "python"
 _corex = None
 
-# Widest edge list the enumerations accept, and so the largest enumeration
-# budget; no enumeration of 2**62 subsets would finish anyway.
+# Widest edge list forest enumeration accepts, and so the largest budget; no
+# enumeration of 2**62 subsets would finish.  Trees are listed at any width.
 MAX_EDGES = 62
 
 DEFAULT_BUDGET = 24
@@ -49,28 +50,28 @@ def require_budget(n_edges: int, budget: int, stage: str) -> None:
         raise BudgetExceededError(stage, n_edges, budget)
 
 
-def forest_masks(n_edges, us, vs, n_vertices):
+def forest_masks(us, vs, n_vertices):
     """Bitmasks of every non-empty acyclic edge subset (forest).
 
-    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  The result is
-    sorted ascending.
+    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  Edges are tried
+    from the last index down, so each size comes out in descending mask
+    order; the sizes are interleaved.
     """
-    if n_edges > MAX_EDGES:
+    if len(us) > MAX_EDGES:
         raise ValueError(f"forest enumeration supports at most {MAX_EDGES} edges")
     out = []
-    _extend(0, 0, n_edges, us, vs, list(range(n_vertices)), out)
-    out.sort()
+    _extend(len(us) - 1, 0, us, vs, list(range(n_vertices)), out)
     return out
 
 
-def _extend(idx, mask, n_edges, us, vs, parent, out):
-    """Append every forest that adds edges >= idx to ``mask``.
+def _extend(idx, mask, us, vs, parent, out):
+    """Append every forest that adds edges <= idx to ``mask``.
 
     Union-find with rollback: no path compression, so a single parent
     write per union is enough to undo it.  A module-level function, not
     a closure, so no reference cycle keeps ``out`` alive after the call.
     """
-    for i in range(idx, n_edges):
+    for i in range(idx, -1, -1):
         ru = us[i]
         while parent[ru] != ru:
             ru = parent[ru]
@@ -82,12 +83,12 @@ def _extend(idx, mask, n_edges, us, vs, parent, out):
         parent[ru] = rv
         m = mask | (1 << i)
         out.append(m)
-        _extend(i + 1, m, n_edges, us, vs, parent, out)
+        _extend(i - 1, m, us, vs, parent, out)
         parent[ru] = ru
 
 
-def spanning_tree_masks(n_edges, us, vs, n_vertices):
-    """Bitmasks of every spanning tree, sorted ascending.
+def spanning_tree_masks(us, vs, n_vertices):
+    """Bitmasks of every spanning tree, unsorted.
 
     Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  A disconnected
     graph has none.  Every tree holds every bridge, so the bridges are
@@ -96,17 +97,14 @@ def spanning_tree_masks(n_edges, us, vs, n_vertices):
     "Bounds on backtrack algorithms for listing cycles, paths, and
     spanning trees", 1975).
     """
-    if n_edges > MAX_EDGES:
-        raise ValueError(f"spanning tree enumeration supports at most {MAX_EDGES} edges")
     nbrs = _neighbour_masks(n_vertices, us, vs, removed=())
     if _flood(nbrs, 1, -1) != (1 << n_vertices) - 1:
         return []
-    bridges = bridge_mask(n_edges, us, vs, n_vertices)
-    core, cus, cvs, k = contract_bridges(n_edges, us, vs, n_vertices, bridges)
+    bridges = bridge_mask(us, vs, n_vertices)
+    core, cus, cvs, k = contract_bridges(us, vs, n_vertices, bridges)
     out = []
     bits = [1 << e for e in core]
     _grow(0, bridges, k - 1, bits, cus, cvs, list(range(k)), out)
-    out.sort()
     return out
 
 
@@ -134,13 +132,13 @@ def _grow(i, mask, need, bits, us, vs, parent, out):
         parent[ru] = rv
         _grow(i + 1, mask | bits[i], need - 1, bits, us, vs, parent, out)
         parent[ru] = ru
-        comp = _suffix_components(parent, us, vs, i + 1, len(bits))
+        comp = _suffix_components(parent, us, vs, i + 1)
         if _root(comp, ru) != _root(comp, rv):
             return  # edge i is a bridge of what is left: every tree here uses it
     _grow(i + 1, mask, need, bits, us, vs, parent, out)
 
 
-def bridge_mask(n_edges, us, vs, n_vertices):
+def bridge_mask(us, vs, n_vertices):
     """Bitmask of the bridges: the edges on no cycle, which every spanning
     tree holds.
 
@@ -152,7 +150,7 @@ def bridge_mask(n_edges, us, vs, n_vertices):
     index, not its endpoint, so a parallel copy is never a bridge.
     """
     adj = [[] for _ in range(n_vertices)]
-    for e in range(n_edges):
+    for e in range(len(us)):
         adj[us[e]].append((vs[e], e))
         adj[vs[e]].append((us[e], e))
     order = [0] * n_vertices  # discovery time, from 1; 0 while unvisited
@@ -188,7 +186,7 @@ def bridge_mask(n_edges, us, vs, n_vertices):
     return bridges
 
 
-def contract_bridges(n_edges, us, vs, n_vertices, bridges):
+def contract_bridges(us, vs, n_vertices, bridges):
     """The graph with the edges of the mask ``bridges`` contracted.
 
     Returns ``(core, cus, cvs, k)``: ``core`` lists the other edge
@@ -197,19 +195,19 @@ def contract_bridges(n_edges, us, vs, n_vertices, bridges):
     original vertex, so vertex 0 stays in vertex 0.
     """
     comp = list(range(n_vertices))
-    for e in range(n_edges):
+    for e in range(len(us)):
         if bridges >> e & 1:
             comp[_root(comp, us[e])] = _root(comp, vs[e])
     label = {}
     new = [label.setdefault(_root(comp, x), len(label)) for x in range(n_vertices)]
-    core = [e for e in range(n_edges) if not bridges >> e & 1]
+    core = [e for e in range(len(us)) if not bridges >> e & 1]
     return core, [new[us[e]] for e in core], [new[vs[e]] for e in core], len(label)
 
 
-def _suffix_components(parent, us, vs, start, n_edges):
+def _suffix_components(parent, us, vs, start):
     """Union-find of the forest in ``parent`` plus the edges >= start."""
     comp = parent[:]
-    for j in range(start, n_edges):
+    for j in range(start, len(us)):
         ru = _root(comp, us[j])
         rv = _root(comp, vs[j])
         if ru != rv:

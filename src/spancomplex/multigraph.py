@@ -127,7 +127,7 @@ class UnicyclicLayout:
         return tuple(c.size for c in self.cycle_classes)
 
     def canonical_labels(self) -> dict[str, str]:
-        """Map every edge id to its positional label.
+        """Map every edge id to its positional label, in canonical order.
 
         Edges of the class at position h get ``e_{h,k}`` with k the member
         index (both 1-based); the v single edges outside the cycle get
@@ -144,11 +144,7 @@ class UnicyclicLayout:
 
     def edge_order(self) -> tuple[str, ...]:
         """All edge ids in canonical label order."""
-        out: list[str] = []
-        for cls in self.cycle_classes + self.outside_multiple_classes:
-            out.extend(cls.members)
-        out.extend(self.outside_single_edges)
-        return tuple(out)
+        return tuple(self.canonical_labels())
 
 
 def build_multigraph(vertices, edges) -> Multigraph:
@@ -166,11 +162,12 @@ def build_multigraph(vertices, edges) -> Multigraph:
         raise EmptyGraphError("vertex list is empty")
     if not edges:
         raise EmptyGraphError("edge list is empty; no spanning structure possible")
-    if len(set(vertices)) != len(vertices):
-        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
-        raise GraphValidationError(f"duplicate vertex identifier {dup!r}")
+    vset: set[str] = set()
+    for v in vertices:
+        if v in vset:
+            raise GraphValidationError(f"duplicate vertex identifier {v!r}")
+        vset.add(v)
 
-    vset = set(vertices)
     seen_ids: set[str] = set()
     norm: list[Edge] = []
     for i, record in enumerate(edges):
@@ -240,7 +237,7 @@ def _quotient_cycle(g: Multigraph, classes: list[ParallelClass]) -> list[Paralle
     index = {v: i for i, v in enumerate(g.vertices)}
     us = [index[c.endpoints[0]] for c in classes]
     vs = [index[c.endpoints[1]] for c in classes]
-    bridges = kernels.bridge_mask(n_arcs, us, vs, n_nodes)
+    bridges = kernels.bridge_mask(us, vs, n_nodes)
     cycle = [i for i in range(n_arcs) if not bridges >> i & 1]
     cycle_arcs: dict[int, list[int]] = {}  # node -> its two cycle arcs
     for i in cycle:

@@ -45,7 +45,7 @@ def enumerate_spanning_trees_generic(g: Multigraph) -> list[tuple[str, ...]]:
     ids = g.edge_ids()
     return edge_sets(
         [ids[i] for i in range(g.n_edges) if mask >> i & 1]
-        for mask in kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+        for mask in kernels.spanning_tree_masks(us, vs, g.n_vertices)
     )
 
 

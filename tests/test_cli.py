@@ -573,6 +573,25 @@ def test_random_suite_over_budget_reports_budget_exceeded(capsys):
     )
 
 
+def test_random_suite_checks_the_budget_before_verifying(capsys, monkeypatch):
+    # the tenth graph of seed 42 with at most 30 edges has 25 edges
+    calls = []
+    verify = cli.run_verify
+
+    def counting(g, budget):
+        calls.append(g.n_edges)
+        return verify(g, budget=budget)
+
+    monkeypatch.setattr(cli, "run_verify", counting)
+    assert run_cli(capsys, "random-suite", "--max-edges", "30") == (
+        3,
+        "",
+        "error: spanning tree enumeration: instance has 25 edges, "
+        "exceeding the enumeration budget of 24\n",
+    )
+    assert calls == []
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     from spancomplex import cli
 

@@ -30,8 +30,11 @@ def _random_matrix(rng, lo=-3, hi=3, max_dim=9):
 
 def test_forest_masks_triangle():
     # edges 0:(0,1) 1:(1,2) 2:(2,0): every proper subset is a forest
-    masks = kernels.forest_masks(3, [0, 1, 2], [1, 2, 0], 3)
-    assert masks == [1, 2, 3, 4, 5, 6]
+    masks = kernels.forest_masks([0, 1, 2], [1, 2, 0], 3)
+    assert sorted(masks) == [1, 2, 3, 4, 5, 6]
+    # each size comes out in descending mask order, with no sort
+    assert [m for m in masks if m.bit_count() == 1] == [4, 2, 1]
+    assert [m for m in masks if m.bit_count() == 2] == [6, 5, 3]
 
 
 def _assert_no_reference_cycle(kernel, *args):
@@ -48,48 +51,51 @@ def _assert_no_reference_cycle(kernel, *args):
 
 
 def test_forest_masks_leaves_no_reference_cycle():
-    _assert_no_reference_cycle(kernels.forest_masks, 3, [0, 1, 2], [1, 2, 0], 3)
+    _assert_no_reference_cycle(kernels.forest_masks, [0, 1, 2], [1, 2, 0], 3)
 
 
 def test_forest_masks_rejects_wide_input():
     with pytest.raises(ValueError):
-        kernels.forest_masks(63, [0] * 63, [1] * 63, 2)
+        kernels.forest_masks([0] * 63, [1] * 63, 2)
 
 
-def _tree_filter(n_edges, us, vs, n_vertices):
-    masks = kernels.forest_masks(n_edges, us, vs, n_vertices)
-    return [m for m in masks if m.bit_count() == n_vertices - 1]
+def _tree_filter(us, vs, n_vertices):
+    masks = kernels.forest_masks(us, vs, n_vertices)
+    return sorted(m for m in masks if m.bit_count() == n_vertices - 1)
 
 
 def test_spanning_tree_masks_equal_forest_filter():
     graphs = [make_fig1(), make_triangle(), make_c211(), make_theta()]
     for g in graphs + random_suite(42, 60, 12):
         us, vs = edge_endpoint_indices(g)
-        masks = kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
-        assert masks == _tree_filter(g.n_edges, us, vs, g.n_vertices)
+        masks = kernels.spanning_tree_masks(us, vs, g.n_vertices)
+        assert sorted(masks) == _tree_filter(us, vs, g.n_vertices)
 
 
 def test_spanning_tree_masks_small_cases():
     # triangle: the three 2-edge subsets
-    assert kernels.spanning_tree_masks(3, [0, 1, 2], [1, 2, 0], 3) == [3, 5, 6]
+    assert sorted(kernels.spanning_tree_masks([0, 1, 2], [1, 2, 0], 3)) == [3, 5, 6]
     # two parallel edges then a pendant edge, listed pendant-first
-    assert kernels.spanning_tree_masks(3, [1, 0, 0], [2, 1, 1], 3) == [3, 5]
+    assert sorted(kernels.spanning_tree_masks([1, 0, 0], [2, 1, 1], 3)) == [3, 5]
     # disconnected: edges {0,1} and {2,3}
-    assert kernels.spanning_tree_masks(2, [0, 2], [1, 3], 4) == []
+    assert kernels.spanning_tree_masks([0, 2], [1, 3], 4) == []
 
 
 def test_spanning_tree_masks_leave_no_reference_cycle():
     # a triangle with a pendant edge: one bridge contracted, a core to branch on
-    _assert_no_reference_cycle(kernels.spanning_tree_masks, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
+    _assert_no_reference_cycle(kernels.spanning_tree_masks, [0, 1, 2, 0], [1, 2, 0, 3], 4)
 
 
 def test_bridge_mask_leaves_no_reference_cycle():
-    _assert_no_reference_cycle(kernels.bridge_mask, 4, [0, 1, 2, 0], [1, 2, 0, 3], 4)
+    _assert_no_reference_cycle(kernels.bridge_mask, [0, 1, 2, 0], [1, 2, 0, 3], 4)
 
 
-def test_spanning_tree_masks_reject_wide_input():
-    with pytest.raises(ValueError, match="at most 62 edges"):
-        kernels.spanning_tree_masks(63, [0] * 63, [1] * 63, 2)
+def test_spanning_tree_masks_list_a_70_cycle():
+    # wider than forest enumeration accepts: a tree mask is an int of any width
+    n = 70
+    masks = kernels.spanning_tree_masks(list(range(n)), [(i + 1) % n for i in range(n)], n)
+    full = (1 << n) - 1
+    assert sorted(masks) == sorted(full ^ (1 << i) for i in range(n))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +123,7 @@ def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, ma
     for fn in list(calls):
         monkeypatch.setattr(kernels, fn.__name__, counted(fn))
     us, vs = edge_endpoint_indices(g)
-    masks = kernels.spanning_tree_masks(g.n_edges, us, vs, g.n_vertices)
+    masks = kernels.spanning_tree_masks(us, vs, g.n_vertices)
     assert len(set(masks)) == n_trees
     assert all(m.bit_count() == g.n_vertices - 1 for m in masks)
     grow, suffix = calls.values()
@@ -150,7 +156,7 @@ def _path(n):
 )
 def test_bridge_mask_small_cases(g, bridges):
     us, vs = edge_endpoint_indices(g)
-    assert kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices) == bridges
+    assert kernels.bridge_mask(us, vs, g.n_vertices) == bridges
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -158,7 +164,7 @@ def test_bridge_mask_small_cases(g, bridges):
 def test_bridge_mask_is_the_edges_every_spanning_set_needs(g):
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    bridges = kernels.bridge_mask(g.n_edges, us, vs, g.n_vertices)
+    bridges = kernels.bridge_mask(us, vs, g.n_vertices)
     for e in range(g.n_edges):
         assert bool(bridges >> e & 1) == (not bruteforce.spans(g, ids[:e] + ids[e + 1 :])), ids[e]
 
@@ -166,9 +172,9 @@ def test_bridge_mask_is_the_edges_every_spanning_set_needs(g):
 def test_contract_bridges_relabels_the_core():
     # triangle 0-1-2 with the pendant 3 on vertex 1, listed second
     us, vs = [0, 1, 1, 2], [1, 3, 2, 0]
-    bridges = kernels.bridge_mask(4, us, vs, 4)
+    bridges = kernels.bridge_mask(us, vs, 4)
     assert bridges == 0b10
-    assert kernels.contract_bridges(4, us, vs, 4, bridges) == ([0, 2, 3], [0, 1, 2], [1, 2, 0], 3)
+    assert kernels.contract_bridges(us, vs, 4, bridges) == ([0, 2, 3], [0, 1, 2], [1, 2, 0], 3)
 
 
 def test_pyref_rank_small_cases():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,21 @@ def test_build_turns_every_name_into_a_string():
 def test_build_rejects_ends_that_are_not_a_pair(ends):
     with pytest.raises(GraphValidationError, match="^edge 'e2' must join exactly two vertices$"):
         build_multigraph(["a", "b", "c"], [("e1", ("a", "b")), ("e2", ends)])
+
+
+def test_build_names_the_first_vertex_that_repeats():
+    with pytest.raises(GraphValidationError, match="^duplicate vertex identifier 'b'$"):
+        build_multigraph(["a", "b", "b", "a"], [("e1", ("a", "b"))])
+
+
+def test_build_rejects_a_late_duplicate_vertex_in_linear_time():
+    # rescanning the earlier vertices for each one is quadratic: tens of
+    # seconds at this size
+    vertices = [f"v{i}" for i in range(60_000)] + ["v59999"]
+    start = time.perf_counter()
+    with pytest.raises(GraphValidationError, match="^duplicate vertex identifier 'v59999'$"):
+        build_multigraph(vertices, [("e1", ("v0", "v1"))])
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("record", [("e1", "a", "b"), None], ids=["triple", "none"])
