@@ -28,7 +28,6 @@ from .fvector import (
 )
 from .homology import (
     BettiProfile,
-    BoundaryMatrix,
     GradedFaces,
     betti_numbers,
     boundary_matrix,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BettiProfile",
-    "BoundaryMatrix",
     "BudgetExceededError",
     "DisconnectedGraphError",
     "Discrepancy",

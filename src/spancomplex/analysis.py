@@ -10,7 +10,7 @@ routes always run when the edge budget allows.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import NotUnicyclicError
 from .fvector import FVector, closed_form_terms, dimension, euler_characteristic
@@ -50,14 +50,6 @@ class Discrepancy:
     expected: object
     actual: object
     fingerprint: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "expected": self.expected,
-            "actual": self.actual,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclass
@@ -150,7 +142,7 @@ class AnalysisReport:
                 }
             ),
             "covers": self.covers,
-            "discrepancies": [d.to_json_dict() for d in self.discrepancies],
+            "discrepancies": [asdict(d) for d in self.discrepancies],
         }
 
     def render_text(self) -> str:

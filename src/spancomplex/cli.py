@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import run_analyze, run_verify
@@ -22,7 +23,13 @@ from .errors import (
     NotUnicyclicError,
     SchemaError,
 )
-from .homology import betti_from_faces, boundary_matrix, euler_from_betti, graded_faces
+from .homology import (
+    betti_from_faces,
+    boundary_matrix,
+    coordinate_triples,
+    euler_from_betti,
+    graded_faces,
+)
 from .ideal import minimal_vertex_covers_generic, render_decomposition
 from .kernels import DEFAULT_BUDGET, MAX_EDGES, require_budget
 from .multigraph import Multigraph, load_graph_file, recognize_unicyclic
@@ -43,7 +50,7 @@ def _emit_json(doc) -> None:
 
 def _emit_discrepancies(discrepancies) -> None:
     if discrepancies:
-        records = [d.to_json_dict() for d in discrepancies]
+        records = [asdict(d) for d in discrepancies]
         sys.stderr.write(json.dumps(records, indent=2, ensure_ascii=False) + "\n")
 
 
@@ -109,9 +116,9 @@ def cmd_homology(args) -> int:
         outdir = Path(args.dump_matrices)
         outdir.mkdir(parents=True, exist_ok=True)
         for i in range(1, faces.dim + 1):
-            bm = boundary_matrix(faces, i)
             target = outdir / f"boundary_{i}.txt"
-            target.write_text("\n".join(bm.coordinate_triples()) + "\n", encoding="utf-8")
+            lines = coordinate_triples(boundary_matrix(faces, i))
+            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
             sys.stderr.write(f"wrote {target}\n")
     doc = {
         "grade_sizes": [str(s) for s in faces.sizes()],
@@ -187,10 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_path=True):
+    def add_common(p, with_path=True, with_json=True):
         if with_path:
             p.add_argument("path", help="graph JSON file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if with_json:
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument(
             "--budget",
             type=_int_in(1, MAX_EDGES),
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="cross-check closed forms against oracles")
-    add_common(p)
+    add_common(p, with_json=False)
 
     p = sub.add_parser("facets", help="spanning tree list")
     add_common(p)

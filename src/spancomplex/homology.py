@@ -20,7 +20,8 @@ apparent pairs, Bauer 2021); a matroid complex is shellable, so most
 columns pair off with no arithmetic.  One builder, ``_boundary``, gives
 a face's column as ``{subface mask: +-1}``: the reduction uses it
 directly, and ``boundary_matrix`` maps its keys to row numbers for
-``--dump-matrices`` and tests.
+``--dump-matrices`` and tests.  A boundary map is only its columns; its
+shape is read off the faces, and ``coordinate_triples`` formats the dump.
 """
 
 from __future__ import annotations
@@ -56,28 +57,6 @@ class GradedFaces:
 
 
 @dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed incidence matrix from grade i to grade i-1, by columns.
-
-    Rows follow the (i-1)-face order, columns the i-face order;
-    ``columns[c]`` maps the row of each non-zero entry of column c to its
-    value, -1 or +1.
-    """
-
-    i: int
-    n_rows: int
-    n_cols: int
-    columns: tuple[dict[int, int], ...]
-
-    def coordinate_triples(self) -> list[str]:
-        """Non-zero entries as "row col value" lines, row-major."""
-        entries = sorted(
-            (r, c, val) for c, col in enumerate(self.columns) for r, val in col.items()
-        )
-        return [f"{r} {c} {val}" for r, c, val in entries]
-
-
-@dataclass(frozen=True)
 class BettiProfile:
     """Homology ranks beta_0..beta_d plus the boundary ranks they came from.
 
@@ -106,20 +85,23 @@ def graded_faces(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> GradedF
     return GradedFaces(edge_order=g.edge_ids(), grades=tuple(map(tuple, grades)))
 
 
-def boundary_matrix(faces: GradedFaces, i: int) -> BoundaryMatrix:
-    """The i-th boundary map: each i-face maps to the alternating sum of
-    its (i-1)-subfaces, signs by position of the omitted vertex."""
+def boundary_matrix(faces: GradedFaces, i: int) -> tuple[dict[int, int], ...]:
+    """The i-th boundary map, by columns: column c maps the row of each
+    (i-1)-subface of the c-th i-face, in the global face order, to its
+    sign, -1 or +1 by position of the omitted vertex.  The map is
+    ``len(faces.grades[i - 1])`` rows by ``len(faces.grades[i])`` columns."""
     if not 1 <= i <= faces.dim:
         raise ValueError(f"boundary index {i} out of range 1..{faces.dim}")
     row_index = {f: r for r, f in enumerate(faces.grades[i - 1])}
-    return BoundaryMatrix(
-        i=i,
-        n_rows=len(faces.grades[i - 1]),
-        n_cols=len(faces.grades[i]),
-        columns=tuple(
-            {row_index[f]: v for f, v in _boundary(face).items()} for face in faces.grades[i]
-        ),
+    return tuple(
+        {row_index[f]: v for f, v in _boundary(face).items()} for face in faces.grades[i]
     )
+
+
+def coordinate_triples(columns: tuple[dict[int, int], ...]) -> list[str]:
+    """A boundary map's non-zero entries as "row col value" lines, row-major."""
+    entries = sorted((r, c, val) for c, col in enumerate(columns) for r, val in col.items())
+    return [f"{r} {c} {val}" for r, c, val in entries]
 
 
 def _boundary(face: int) -> dict[int, int]:

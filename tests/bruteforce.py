@@ -116,10 +116,11 @@ def rank_over_rationals(rows) -> int:
     return rank
 
 
-def dense(bm) -> list[list[int]]:
-    """A boundary matrix as a dense list of rows, for the reference ranks."""
-    rows = [[0] * bm.n_cols for _ in range(bm.n_rows)]
-    for c, col in enumerate(bm.columns):
+def dense(columns, n_rows) -> list[list[int]]:
+    """A boundary map's sparse columns as a dense list of rows, for the
+    reference ranks."""
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for c, col in enumerate(columns):
         for r, val in col.items():
             rows[r][c] = val
     return rows

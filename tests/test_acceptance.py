@@ -134,10 +134,10 @@ def test_criterion_3_formula_vs_oracle_suite(suite_graphs):
 
 def _compose(lower, upper):
     """Every entry of the product lower @ upper, from the sparse columns."""
-    for col in upper.columns:
+    for col in upper:
         acc = {}
         for mid, v in col.items():
-            for r, w in lower.columns[mid].items():
+            for r, w in lower[mid].items():
                 acc[r] = acc.get(r, 0) + v * w
         yield from acc.values()
 

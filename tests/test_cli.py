@@ -130,6 +130,17 @@ def test_verify_non_unicyclic(capsys):
     assert out == "verify: PASS\n"
 
 
+def test_verify_rejects_json_flag(capsys):
+    # verify prints one PASS/FAIL line and has no JSON view to switch to
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", FIG1, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --json")
+
+
 def test_facets_json(capsys):
     code, out, _ = run_cli(capsys, "facets", FIG1, "--json")
     assert code == 0
@@ -291,6 +302,32 @@ def test_reversed_fig1_dump_matches_golden_bytes(capsys, tmp_path):
     assert code == 0
     digests = [_sha256(f.read_bytes()) for f in sorted(outdir.iterdir())]
     assert digests == REVERSED_FIG1_DUMP_SHA256
+
+
+# the 18-edge pendant layout's d_1..d_10; d_6 is 8925 x 10452
+PENDANTS_DUMP_SHA256 = [
+    "6cdd2c03f47dbef45deee2e28182e0fab0eb45cd2c95553cbf298b752ac3538f",
+    "43fa66e77f1e533626725dd35177891a39debe2ca386719cf4f5b72ec62213a7",
+    "40732b2109435a44b7a2f9ff32096e44948746324ca4e11cfd54622944e0cfce",
+    "dd9bbeaa2a1f99cc57f98097722532424d7741bc1b5c8c5b9ddc282732035d4f",
+    "1b3a822a1c946686c060cde0d602a6f91e958ad6e7ea0470f777e7545ef02240",
+    "c8e01ff0202656a13a9c7273036afdb29a7d2ff39803135343d3f858a7bb7e34",
+    "0edac44c9c37cb668e60b2e4262301d69820ff28469f6ee9587732dd0443a5e4",
+    "b5a8c0269bea2372f271aa5a15942b4d611943b6504698655153a5bb46d755cd",
+    "6a0033749b2366a2540781db19cdd511802db959cfad7b1dadc7e1db13e2d707",
+    "723c9df4d4994e2abd3495cf6833e2c2e1494c1dd99fc78af54e53e61e615ecc",
+]
+
+
+def test_pendants_dump_matches_golden_bytes(capsys, tmp_path):
+    path = tmp_path / "pendants.json"
+    path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
+    outdir = tmp_path / "mats"
+    code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(outdir))
+    assert code == 0
+    assert len(list(outdir.iterdir())) == len(PENDANTS_DUMP_SHA256)
+    digests = [_sha256((outdir / f"boundary_{i}.txt").read_bytes()) for i in range(1, 11)]
+    assert digests == PENDANTS_DUMP_SHA256
 
 
 # the report without the oracle routes, and the report of a graph that is not
