@@ -4,7 +4,7 @@
 the anti-drift harness that compares each closed form against its
 independent oracle and reports structured discrepancies.  Closed forms
 are skipped with a notice for graphs that are not uni-cyclic; oracle
-routes always run when the edge budget allows.
+routes always run when the graph fits ``kernels.EDGE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .ideal import (
     minimal_vertex_covers_generic,
     render_decomposition,
 )
-from .kernels import DEFAULT_BUDGET, require_budget
+from .kernels import EDGE_BUDGET, require_budget
 from .multigraph import Multigraph, UnicyclicLayout, edge_sets, recognize_unicyclic
 from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
 
@@ -65,7 +65,6 @@ class AnalysisReport:
     fingerprint: str
     n_vertices: int
     n_edges: int
-    budget: int
     oracle_enabled: bool
     layout: UnicyclicLayout | None = None
     layout_note: str | None = None
@@ -117,7 +116,7 @@ class AnalysisReport:
                 "edges": self.n_edges,
             },
             "settings": {
-                "budget": self.budget,
+                "budget": EDGE_BUDGET,
                 "oracle": self.oracle_enabled,
             },
             "layout": layout,
@@ -216,24 +215,22 @@ def _show(value, other=()):
 def run_analyze(
     g: Multigraph,
     *,
-    budget: int = DEFAULT_BUDGET,
     no_oracle: bool = False,
     path: str | None = None,
 ) -> AnalysisReport:
     """Run every applicable route and cross-check them.
 
-    When the oracle routes are enabled, first checks the budget: raises
-    ``ValueError`` for a budget outside 1..``kernels.MAX_EDGES`` and
-    ``BudgetExceededError`` when the graph exceeds it.
+    When the oracle routes are enabled, first raises
+    ``BudgetExceededError`` for a graph of more than
+    ``kernels.EDGE_BUDGET`` edges.
     """
     if not no_oracle:
-        require_budget(g.n_edges, budget, "spanning tree enumeration")
+        require_budget(g.n_edges, "spanning tree enumeration")
     report = AnalysisReport(
         path=path,
         fingerprint=g.fingerprint(),
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
-        budget=budget,
         oracle_enabled=not no_oracle,
     )
     routes = report.routes
@@ -258,7 +255,7 @@ def run_analyze(
         routes["covers"]["closed_form"] = minimal_vertex_covers_closed_form(layout)
 
     if not no_oracle:
-        faces = graded_faces(g, budget=budget)
+        faces = graded_faces(g)
         # g is connected, so its largest forests are its spanning trees
         routes["facets"]["generic"] = edge_sets(faces.names(t) for t in faces.grades[-1])
         fv = routes["f_vector"]["bruteforce"] = FVector(faces.sizes())
@@ -275,9 +272,9 @@ def run_analyze(
     return report
 
 
-def run_verify(g: Multigraph, *, budget: int = DEFAULT_BUDGET) -> list[Discrepancy]:
+def run_verify(g: Multigraph) -> list[Discrepancy]:
     """Cross-verify all closed forms against their oracles for one graph."""
-    return run_analyze(g, budget=budget).discrepancies
+    return run_analyze(g).discrepancies
 
 
 def _unmatched(sets: EdgeSets, others: EdgeSets) -> list[list[str]]:

@@ -31,7 +31,7 @@ from .homology import (
     graded_faces,
 )
 from .ideal import minimal_vertex_covers_generic, render_decomposition
-from .kernels import DEFAULT_BUDGET, MAX_EDGES, require_budget
+from .kernels import require_budget
 from .multigraph import Multigraph, load_graph_file, recognize_unicyclic
 from .randomgraphs import random_suite
 from .spanning import enumerate_spanning_trees_generic
@@ -56,7 +56,7 @@ def _emit_discrepancies(discrepancies) -> None:
 
 def cmd_analyze(args) -> int:
     g = parse_graph_file(args.path)
-    report = run_analyze(g, budget=args.budget, no_oracle=args.no_oracle, path=args.path)
+    report = run_analyze(g, no_oracle=args.no_oracle, path=args.path)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -66,7 +66,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    discrepancies = run_verify(parse_graph_file(args.path), budget=args.budget)
+    discrepancies = run_verify(parse_graph_file(args.path))
     if discrepancies:
         sys.stdout.write(f"verify: FAIL ({len(discrepancies)} discrepancies)\n")
     else:
@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
 
 def cmd_facets(args) -> int:
     g = parse_graph_file(args.path)
-    require_budget(g.n_edges, args.budget, "spanning tree enumeration")
+    require_budget(g.n_edges, "spanning tree enumeration")
     facets = enumerate_spanning_trees_generic(g)
     if args.json:
         _emit_json(facets)
@@ -89,7 +89,7 @@ def cmd_facets(args) -> int:
 
 def cmd_covers(args) -> int:
     g = parse_graph_file(args.path)
-    require_budget(g.n_edges, args.budget, "spanning tree enumeration")
+    require_budget(g.n_edges, "spanning tree enumeration")
     covers = minimal_vertex_covers_generic(g)
     if args.json:
         # the facet ideal: one generator per spanning tree, one prime per
@@ -110,7 +110,7 @@ def cmd_homology(args) -> int:
             ends = dict(g.edges)
             order = recognize_unicyclic(g).edge_order()
             g = Multigraph(g.vertices, tuple((e, ends[e]) for e in order))
-    faces = graded_faces(g, budget=args.budget)
+    faces = graded_faces(g)
     betti = betti_from_faces(faces)
     if args.dump_matrices:
         outdir = Path(args.dump_matrices)
@@ -140,10 +140,10 @@ def cmd_random_suite(args) -> int:
     graphs = random_suite(args.seed, args.count, args.max_edges)
     # every graph must fit the budget before any is verified
     for g in graphs:
-        require_budget(g.n_edges, args.budget, "spanning tree enumeration")
+        require_budget(g.n_edges, "spanning tree enumeration")
     failures = []
     for g in graphs:
-        discrepancies = run_verify(g, budget=args.budget)
+        discrepancies = run_verify(g)
         if discrepancies:
             target = Path(f"counterexample-{g.fingerprint()}.json")
             target.write_text(
@@ -170,17 +170,16 @@ def cmd_random_suite(args) -> int:
     return 1 if failures else 0
 
 
-def _int_in(low: int, high: int | None = None):
-    """An argparse type: an int of at least ``low`` and, if given, at most ``high``."""
+def _int_in(low: int):
+    """An argparse type: an int of at least ``low``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low or high is not None and value > high:
-            bound = f"at least {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
     return parse
@@ -194,46 +193,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_path=True, with_json=True):
+    def add_command(name, summary, with_path=True, with_json=True):
+        p = sub.add_parser(name, help=summary)
         if with_path:
             p.add_argument("path", help="graph JSON file")
         if with_json:
             p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--budget",
-            type=_int_in(1, MAX_EDGES),
-            default=DEFAULT_BUDGET,
-            help=f"max edges for enumeration stages, 1..{MAX_EDGES} "
-            f"(default {DEFAULT_BUDGET})",
-        )
+        return p
 
-    p = sub.add_parser("analyze", help="full report for one graph")
-    add_common(p)
+    p = add_command("analyze", "full report for one graph")
     p.add_argument(
         "--no-oracle",
         action="store_true",
         help="closed forms only; skip enumeration oracles (for large n)",
     )
 
-    p = sub.add_parser("verify", help="cross-check closed forms against oracles")
-    add_common(p, with_json=False)
+    add_command("verify", "cross-check closed forms against oracles", with_json=False)
+    add_command("facets", "spanning tree list")
+    add_command("covers", "minimal vertex covers and facet ideal")
 
-    p = sub.add_parser("facets", help="spanning tree list")
-    add_common(p)
-
-    p = sub.add_parser("covers", help="minimal vertex covers and facet ideal")
-    add_common(p)
-
-    p = sub.add_parser("homology", help="boundary ranks and Betti numbers")
-    add_common(p)
+    p = add_command("homology", "boundary ranks and Betti numbers")
     p.add_argument(
         "--dump-matrices",
         metavar="DIR",
         help="write each boundary matrix as 'row col value' triples",
     )
 
-    p = sub.add_parser("random-suite", help="verify a seeded random graph family")
-    add_common(p, with_path=False)
+    p = add_command("random-suite", "verify a seeded random graph family", with_path=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=_int_in(0), default=200)
     # the smallest uni-cyclic multigraph is the simple triangle

@@ -39,7 +39,9 @@ class SchemaError(SpanComplexError, ValueError):
 
 
 class BudgetExceededError(SpanComplexError):
-    """An enumeration stage was asked to exceed its configured budget."""
+    """An enumeration stage was given more edges than ``kernels.EDGE_BUDGET``.
+
+    The budget is passed in, because ``kernels`` imports this module."""
 
     def __init__(self, stage: str, size: int, budget: int):
         self.stage = stage

@@ -68,7 +68,7 @@ class BettiProfile:
     boundary_ranks: tuple[int, ...]
 
 
-def graded_faces(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> GradedFaces:
+def graded_faces(g: Multigraph) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
     The global order is ``g.edge_ids()``.  The edges are indexed in its
@@ -76,7 +76,7 @@ def graded_faces(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> GradedF
     descending mask order, gives every grade in the global order; nothing
     is sorted.  See ``GradedFaces``.
     """
-    kernels.require_budget(g.n_edges, budget, "graded face enumeration")
+    kernels.require_budget(g.n_edges, "graded face enumeration")
     us, vs = edge_endpoint_indices(g)
     # g is connected, so its largest forests have |V| - 1 edges
     grades: list[list[int]] = [[] for _ in range(g.n_vertices - 1)]
@@ -116,14 +116,13 @@ def _boundary(face: int) -> dict[int, int]:
     return column
 
 
-def betti_numbers(g: Multigraph, budget: int = kernels.DEFAULT_BUDGET) -> BettiProfile:
+def betti_numbers(g: Multigraph) -> BettiProfile:
     """Betti numbers beta_i = nullity(d_i) - rank(d_{i+1}) for i = 0..d.
 
     The 0-th boundary map is zero, so nullity(d_0) = f_0 and beta_0
     counts connected components of the complex.
     """
-    faces = graded_faces(g, budget=budget)
-    return betti_from_faces(faces)
+    return betti_from_faces(graded_faces(g))
 
 
 def betti_from_faces(faces: GradedFaces) -> BettiProfile:

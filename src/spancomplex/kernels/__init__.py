@@ -11,9 +11,11 @@ on its own, so the tree and bond oracles contract them
 (``contract_bridges``) and branch only on the rest, and recognition
 takes the non-bridge arcs of the class quotient as its cycle.
 
-``require_budget`` gates every enumeration stage by its edge count, at
-``DEFAULT_BUDGET`` unless the caller sets a budget up to ``MAX_EDGES``,
-which caps forest enumeration alone.
+``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
+every enumeration stage by its edge count, and nothing sets it.  A
+pendant edge doubles the faces to list, so larger graphs take the closed
+forms alone (``analyze --no-oracle``).  Spanning trees are listed at any
+width; ``forest_masks`` guards its own input at the same limit.
 
 ``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
 ``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
@@ -31,23 +33,13 @@ from ..errors import BudgetExceededError
 BACKEND = "python"
 _corex = None
 
-# Widest edge list forest enumeration accepts, and so the largest budget; no
-# enumeration of 2**62 subsets would finish.  Trees are listed at any width.
-MAX_EDGES = 62
-
-DEFAULT_BUDGET = 24
+EDGE_BUDGET = 24
 
 
-def require_budget(n_edges: int, budget: int, stage: str) -> None:
-    """Raise ``BudgetExceededError`` when ``n_edges`` exceeds ``budget``.
-
-    A budget outside 1..``MAX_EDGES`` is a ``ValueError``: forest
-    enumeration cannot honour it.
-    """
-    if not 1 <= budget <= MAX_EDGES:
-        raise ValueError(f"budget must be between 1 and {MAX_EDGES}, got {budget}")
-    if n_edges > budget:
-        raise BudgetExceededError(stage, n_edges, budget)
+def require_budget(n_edges: int, stage: str) -> None:
+    """Raise ``BudgetExceededError`` when ``n_edges`` exceeds ``EDGE_BUDGET``."""
+    if n_edges > EDGE_BUDGET:
+        raise BudgetExceededError(stage, n_edges, EDGE_BUDGET)
 
 
 def forest_masks(us, vs, n_vertices):
@@ -57,8 +49,8 @@ def forest_masks(us, vs, n_vertices):
     from the last index down, so each size comes out in descending mask
     order; the sizes are interleaved.
     """
-    if len(us) > MAX_EDGES:
-        raise ValueError(f"forest enumeration supports at most {MAX_EDGES} edges")
+    if len(us) > EDGE_BUDGET:
+        raise ValueError(f"forest enumeration supports at most {EDGE_BUDGET} edges")
     out = []
     _extend(len(us) - 1, 0, us, vs, list(range(n_vertices)), out)
     return out

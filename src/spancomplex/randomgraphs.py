@@ -1,8 +1,8 @@
 """Seeded random uni-cyclic multigraphs for the verification suite.
 
 One worked instance is not property coverage; this generator samples a
-family of layouts (cycle length, multiplicities, off-cycle trees) under
-an edge budget, deterministically from a seed.
+family of layouts (cycle length, multiplicities, off-cycle trees) of at
+most ``max_edges`` edges, deterministically from a seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def random_unicyclic_multigraph(rng: random.Random, max_edges: int = 12) -> Mult
 
     Samples m in [3,6], r' in [0,m] multiple cycle classes, r'' in [0,3]
     multiple outside classes and v in [0,3] outside single edges, with
-    multiplicities in [2,4]; draws exceeding the edge budget are
+    multiplicities in [2,4]; draws of more than ``max_edges`` edges are
     rejected.  Outside classes and edges attach a fresh leaf vertex to a
     uniformly chosen existing vertex.
     """

@@ -8,10 +8,6 @@ from spancomplex.randomgraphs import random_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-SUITE_SEED = 42
-SUITE_COUNT = 200
-SUITE_MAX_EDGES = 12
-
 
 def make_fig1():
     """Three parallel edges on {a,b}, a 3-cycle, and a double pendant class."""
@@ -125,7 +121,8 @@ def theta():
 
 @pytest.fixture(scope="session")
 def suite_graphs():
-    return random_suite(SUITE_SEED, SUITE_COUNT, SUITE_MAX_EDGES)
+    # the CLI's default family: seed 42, 200 graphs of at most 12 edges
+    return random_suite(42, 200, 12)
 
 
 @st.composite

@@ -4,17 +4,10 @@ from pathlib import Path
 import pytest
 
 import spancomplex
-from spancomplex import analysis, build_multigraph, kernels, run_analyze
+from spancomplex import analysis, kernels, run_analyze
 from spancomplex.spanning import enumerate_spanning_trees_generic
 
 import bruteforce
-
-
-def _cycle(n):
-    vertices = [f"v{i}" for i in range(n)]
-    return build_multigraph(
-        vertices, [(f"e{i}", (vertices[i], vertices[(i + 1) % n])) for i in range(n)]
-    )
 
 
 def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
@@ -54,12 +47,6 @@ def test_one_pass_matches_separate_oracles(request, name):
     report = run_analyze(g)
     assert report.routes["facets"]["generic"] == enumerate_spanning_trees_generic(g)
     assert report.routes["f_vector"]["bruteforce"].counts == bruteforce.forest_counts(g)
-
-
-@pytest.mark.parametrize("budget", [0, 100])
-def test_run_analyze_rejects_budget_out_of_range(budget):
-    with pytest.raises(ValueError, match=f"between 1 and 62, got {budget}"):
-        run_analyze(_cycle(64), budget=budget)
 
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spancomplex import analysis, cli
+from spancomplex import analysis, cli, kernels
 from spancomplex.cli import main, parse_graph_file
 from spancomplex.errors import SchemaError
 from spancomplex.multigraph import multigraph_from_json
@@ -101,13 +101,6 @@ def test_analyze_no_oracle(capsys):
     assert doc["f_vector"]["closed_form"] == ["7", "17", "14"]
     assert doc["homology"] is None
     assert doc["settings"]["oracle"] is False
-
-
-def test_analyze_budget_exceeded(capsys):
-    code, _, err = run_cli(capsys, "analyze", FIG1, "--budget", "5")
-    assert code == 3
-    assert "budget" in err
-    assert "spanning tree enumeration" in err
 
 
 def test_analyze_non_unicyclic_notes_skip(capsys):
@@ -224,19 +217,6 @@ def test_homology_dump_matrices_keeps_json_stdout(capsys, tmp_path):
     assert err == "".join(f"wrote {tmp_path / f'boundary_{i}.txt'}\n" for i in (1, 2))
 
 
-def test_homology_dump_matrices_repeatable(capsys, tmp_path):
-    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
-    path = tmp_path / "pendants.json"
-    path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
-    dumps = []
-    for run in ("a", "b"):
-        code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(tmp_path / run))
-        assert code == 0
-        dumps.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
-    assert sorted(dumps[0]) == sorted(f"boundary_{i}.txt" for i in range(1, 11))
-    assert dumps[0] == dumps[1]
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -320,6 +300,7 @@ PENDANTS_DUMP_SHA256 = [
 
 
 def test_pendants_dump_matches_golden_bytes(capsys, tmp_path):
+    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
     path = tmp_path / "pendants.json"
     path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
     outdir = tmp_path / "mats"
@@ -566,47 +547,43 @@ def test_analyze_is_deterministic(capsys):
     assert out1 == out2
 
 
-def _cycle_file(tmp_path, n):
-    vertices = [f"v{i}" for i in range(n)]
-    edges = [{"id": f"e{i}", "ends": [vertices[i], vertices[(i + 1) % n]]} for i in range(n)]
-    path = tmp_path / f"cycle{n}.json"
-    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+def _parallel_file(tmp_path, n):
+    # n parallel edges on {a, b}: n faces, the single edges
+    edges = [{"id": f"e{i}", "ends": ["a", "b"]} for i in range(n)]
+    path = tmp_path / f"parallel{n}.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["analyze", "homology"])
-@pytest.mark.parametrize("budget", ["0", "-5", "100"])
-def test_budget_out_of_range_is_input_error(capsys, tmp_path, command, budget):
-    path = _cycle_file(tmp_path, 64)
+FILE_COMMANDS = ["analyze", "verify", "facets", "covers", "homology"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS + ["random-suite"])
+def test_budget_is_not_an_option(capsys, tmp_path, command):
+    path = [] if command == "random-suite" else [_parallel_file(tmp_path, 3)]
     with pytest.raises(SystemExit) as exc:
-        main([command, path, "--budget", budget])
+        main([command, *path, "--budget", "24"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].endswith(
-        f"error: argument --budget: must be between 1 and 62, got {budget}"
-    )
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --budget 24")
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify", "facets", "covers", "homology"])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_enumeration_runs_at_the_edge_budget(capsys, tmp_path, command):
+    code, _, err = run_cli(capsys, command, _parallel_file(tmp_path, kernels.EDGE_BUDGET))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
 def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path, command):
-    path = _cycle_file(tmp_path, 64)
+    path = _parallel_file(tmp_path, kernels.EDGE_BUDGET + 1)
     stage = "graded face" if command == "homology" else "spanning tree"
-    assert run_cli(capsys, command, path, "--budget", "62") == (
+    assert run_cli(capsys, command, path) == (
         3,
         "",
-        f"error: {stage} enumeration: instance has 64 edges, exceeding the enumeration "
-        "budget of 62\n",
-    )
-
-
-def test_random_suite_over_budget_reports_budget_exceeded(capsys):
-    # the first graph of seed 42 with at most 30 edges has 8
-    assert run_cli(capsys, "random-suite", "--max-edges", "30", "--budget", "5") == (
-        3,
-        "",
-        "error: spanning tree enumeration: instance has 8 edges, "
-        "exceeding the enumeration budget of 5\n",
+        f"error: {stage} enumeration: instance has 25 edges, exceeding the enumeration "
+        "budget of 24\n",
     )
 
 
@@ -615,9 +592,9 @@ def test_random_suite_checks_the_budget_before_verifying(capsys, monkeypatch):
     calls = []
     verify = cli.run_verify
 
-    def counting(g, budget):
+    def counting(g):
         calls.append(g.n_edges)
-        return verify(g, budget=budget)
+        return verify(g)
 
     monkeypatch.setattr(cli, "run_verify", counting)
     assert run_cli(capsys, "random-suite", "--max-edges", "30") == (

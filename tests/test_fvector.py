@@ -15,7 +15,7 @@ from spancomplex import (
     graded_faces,
     recognize_unicyclic,
 )
-from spancomplex import fvector
+from spancomplex import fvector, kernels
 from spancomplex.fvector import (
     FVector,
     _elementary_symmetric,
@@ -68,10 +68,12 @@ def test_bruteforce_matches_subset_filter_on_suite(suite_graphs):
         assert graded_faces(g).sizes() == bruteforce.forest_counts(g)
 
 
-def test_bruteforce_budget_error(fig1):
+def test_bruteforce_budget_error():
+    n = kernels.EDGE_BUDGET + 1
+    g = build_multigraph(["a", "b"], [(f"e{i}", ("a", "b")) for i in range(n)])
     with pytest.raises(BudgetExceededError) as err:
-        graded_faces(fig1, budget=5)
-    assert err.value.budget == 5
+        graded_faces(g)
+    assert err.value.budget == kernels.EDGE_BUDGET
     assert "budget" in str(err.value)
 
 

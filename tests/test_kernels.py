@@ -55,8 +55,9 @@ def test_forest_masks_leaves_no_reference_cycle():
 
 
 def test_forest_masks_rejects_wide_input():
+    n = kernels.EDGE_BUDGET + 1
     with pytest.raises(ValueError):
-        kernels.forest_masks([0] * 63, [1] * 63, 2)
+        kernels.forest_masks([0] * n, [1] * n, 2)
 
 
 def _tree_filter(us, vs, n_vertices):
