@@ -103,6 +103,16 @@ def test_analyze_no_oracle(capsys):
     assert doc["settings"]["oracle"] is False
 
 
+def test_analyze_budget_exceeded(capsys, tmp_path):
+    # a uni-cyclic graph far past the budget: the oracles cannot run on it
+    code, out, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64))
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: spanning tree enumeration: instance has 64 edges, exceeding the "
+        "enumeration budget of 24\n"
+    )
+
+
 def test_analyze_non_unicyclic_notes_skip(capsys):
     code, out, _ = run_cli(capsys, "analyze", THETA)
     assert code == 0
@@ -217,6 +227,19 @@ def test_homology_dump_matrices_keeps_json_stdout(capsys, tmp_path):
     assert err == "".join(f"wrote {tmp_path / f'boundary_{i}.txt'}\n" for i in (1, 2))
 
 
+def test_homology_dump_matrices_repeatable(capsys, tmp_path):
+    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
+    path = tmp_path / "pendants.json"
+    path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
+    dumps = []
+    for run in ("a", "b"):
+        code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(tmp_path / run))
+        assert code == 0
+        dumps.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
+    assert sorted(dumps[0]) == sorted(f"boundary_{i}.txt" for i in range(1, 11))
+    assert dumps[0] == dumps[1]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -300,7 +323,6 @@ PENDANTS_DUMP_SHA256 = [
 
 
 def test_pendants_dump_matches_golden_bytes(capsys, tmp_path):
-    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
     path = tmp_path / "pendants.json"
     path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
     outdir = tmp_path / "mats"
@@ -547,6 +569,14 @@ def test_analyze_is_deterministic(capsys):
     assert out1 == out2
 
 
+def _cycle_file(tmp_path, n):
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [{"id": f"e{i}", "ends": [vertices[i], vertices[(i + 1) % n]]} for i in range(n)]
+    path = tmp_path / f"cycle{n}.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    return str(path)
+
+
 def _parallel_file(tmp_path, n):
     # n parallel edges on {a, b}: n faces, the single edges
     edges = [{"id": f"e{i}", "ends": ["a", "b"]} for i in range(n)]
@@ -569,6 +599,19 @@ def test_budget_is_not_an_option(capsys, tmp_path, command):
     assert err.splitlines()[-1].endswith("error: unrecognized arguments: --budget 24")
 
 
+@pytest.mark.parametrize("command", ["analyze", "homology"])
+@pytest.mark.parametrize("budget", ["0", "-5", "100"])
+def test_budget_out_of_range_is_input_error(capsys, tmp_path, command, budget):
+    # the budget is a constant: a value on the command line, in range or not,
+    # is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, _cycle_file(tmp_path, 64), "--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: --budget {budget}")
+
+
 @pytest.mark.parametrize("command", FILE_COMMANDS)
 def test_enumeration_runs_at_the_edge_budget(capsys, tmp_path, command):
     code, _, err = run_cli(capsys, command, _parallel_file(tmp_path, kernels.EDGE_BUDGET))
@@ -584,6 +627,16 @@ def test_budget_at_limit_reports_budget_exceeded(capsys, tmp_path, command):
         "",
         f"error: {stage} enumeration: instance has 25 edges, exceeding the enumeration "
         "budget of 24\n",
+    )
+
+
+def test_random_suite_over_budget_reports_budget_exceeded(capsys):
+    # the thirteenth graph of seed 7 with at most 40 edges has 26
+    assert run_cli(capsys, "random-suite", "--seed", "7", "--max-edges", "40") == (
+        3,
+        "",
+        "error: spanning tree enumeration: instance has 26 edges, "
+        "exceeding the enumeration budget of 24\n",
     )
 
 
