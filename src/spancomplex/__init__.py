@@ -3,7 +3,10 @@
 Exact-arithmetic construction and cross-verification: spanning tree
 enumeration (closed form and backtracking oracle), f-vectors and Euler
 characteristics, facet ideals with their primary decomposition via
-minimal vertex covers, and integer simplicial homology.
+minimal vertex covers, and integer simplicial homology.  Boundary ranks
+are taken over GF(2); they equal the rational ranks because a matroid
+complex is shellable, so its integer homology is free and every boundary
+map has unit invariant factors.
 """
 
 from .analysis import AnalysisReport, Discrepancy, run_analyze, run_verify

@@ -108,7 +108,7 @@ def cmd_homology(args) -> int:
         # a uni-cyclic graph's dump follows its canonical labels, not the file's order
         with contextlib.suppress(NotUnicyclicError):
             ends = dict(g.edges)
-            order = recognize_unicyclic(g).edge_order()
+            order = recognize_unicyclic(g).canonical_labels()
             g = Multigraph(g.vertices, tuple((e, ends[e]) for e in order))
     faces = graded_faces(g)
     betti = betti_from_faces(faces)

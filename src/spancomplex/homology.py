@@ -1,4 +1,5 @@
-"""Simplicial chain complex of the spanning complex, over the integers.
+"""Simplicial chain complex of the spanning complex: signed boundary maps
+and Betti numbers.
 
 Faces are forests, kept as the kernel's bitmasks (``GradedFaces.names``
 decodes one), graded by dimension and ordered by the graph's input edge
@@ -6,29 +7,35 @@ order, the tie-break rule of ``Multigraph``; the boundary maps are the
 usual signed incidence matrices.  The enumeration depends on the graph
 alone, never on its uni-cyclic layout, so it stays an independent oracle
 for the closed forms.
-Betti numbers are ranks of homology over the rationals.
+Betti numbers are ranks of homology over the rationals, read off boundary
+ranks taken over GF(2).  The two agree on every complex built here: it is
+the independence complex of a graphic matroid, which is shellable (Provan
+& Billera 1980; Bjorner, "The homology and shellability of matroids and
+geometric lattices", 1992), so its integer homology is free, every
+boundary map has unit invariant factors, and its rank over GF(2) is its
+rank over the rationals.  A hand-built ``GradedFaces`` of any other
+complex gets only its GF(2) ranks.
 ``betti_from_faces`` gets every boundary rank from one sparse column
 reduction with clearing (Chen & Kerber, "Persistent homology computation
-with a twist", 2011), in exact integer arithmetic (no floating point),
-which is all the alternating-sum identities here require.  Its rows are
-(i-1)-face masks, and a column's pivot is its largest row: for an
-unreduced column, the face minus its lowest bit (the rank over the
-rationals does not depend on the row or column order that defines
-pivots).  So the pivot is read off the face, and the column itself is
-built only when another column lands on the same pivot (Ripser's
-apparent pairs, Bauer 2021); a matroid complex is shellable, so most
-columns pair off with no arithmetic.  One builder, ``_boundary``, gives
-a face's column as ``{subface mask: +-1}``: the reduction uses it
-directly, and ``boundary_matrix`` maps its keys to row numbers for
-``--dump-matrices`` and tests.  A boundary map is only its columns; its
-shape is read off the faces, and ``coordinate_triples`` formats the dump.
+with a twist", 2011): a column is the set of its rows and an update is a
+symmetric difference.  Its rows are (i-1)-face masks, and a column's
+pivot is its largest row: for an unreduced column, the face minus its
+lowest bit (the rank does not depend on the row or column order that
+defines pivots).  So the pivot is read off the face, and the column
+itself is built only when another column lands on the same pivot
+(Ripser's apparent pairs, Bauer 2021); a matroid complex is shellable,
+so most columns pair off with no arithmetic.  One builder, ``_boundary``,
+gives a face's column as ``{subface mask: +-1}``: the reduction uses its
+keys, and ``boundary_matrix`` maps them to row numbers, with their
+signs, for ``--dump-matrices`` and tests.  A boundary map is only its
+columns; its shape is read off the faces, and ``coordinate_triples``
+formats the dump.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from math import gcd
 
 from . import kernels
 from .multigraph import Multigraph, edge_endpoint_indices
@@ -127,7 +134,10 @@ def betti_numbers(g: Multigraph) -> BettiProfile:
 
 def betti_from_faces(faces: GradedFaces) -> BettiProfile:
     """Betti numbers from the graded faces, without materialising any
-    boundary matrix.
+    boundary matrix.  The boundary ranks are taken over GF(2); for the
+    faces of any graph they are the rational ranks, since a matroid
+    complex has free integer homology, and for a hand-built
+    ``GradedFaces`` of any other complex they are only the GF(2) ranks.
 
     The boundary maps are reduced from the top dimension down.  Each
     pivot of the reduced d_{i+1} is an i-face whose column in d_i is a
@@ -138,7 +148,7 @@ def betti_from_faces(faces: GradedFaces) -> BettiProfile:
     d = faces.dim
     sizes = faces.sizes()
     boundary_ranks = [0] * (d + 1)
-    pivots: dict[int, dict[int, int] | int] = {}
+    pivots: dict[int, set[int] | int] = {}
     for i in range(d, 0, -1):
         pivots = _reduce_boundary(faces, i, cleared=pivots.keys())
         boundary_ranks[i] = len(pivots)
@@ -152,21 +162,21 @@ def betti_from_faces(faces: GradedFaces) -> BettiProfile:
 
 def _reduce_boundary(
     faces: GradedFaces, i: int, cleared: Collection[int]
-) -> dict[int, dict[int, int] | int]:
-    """Column-reduce the i-th boundary map, skipping the i-faces in
-    ``cleared``; the reduced non-zero columns keyed by their low, the
-    largest (i-1)-face mask among their entries.  Their number is the
-    rank of the map.
+) -> dict[int, set[int] | int]:
+    """Column-reduce the i-th boundary map over GF(2), skipping the
+    i-faces in ``cleared``; the reduced non-zero columns keyed by their
+    low, the largest (i-1)-face mask among their rows.  Their number is
+    the rank of the map over GF(2), which is its rank over the rationals
+    for the faces of a graph (see the module docstring).
 
     Columns are taken in ascending mask order.  An unreduced column's
     low is its face minus the lowest bit, so it is read off the face: a
-    column whose low is new is kept unbuilt, as its face mask, and its
-    ``_boundary`` is built only when a later column lands on the same
-    low.  Updates are fraction-free, ``col <- (b/g) col - (a/g) pivot``
-    with ``g = gcd(a, b)``, followed by division by the content gcd, so
-    entries stay exact Python integers.
+    column whose low is new is kept unbuilt, as its face mask, and the
+    keys of its ``_boundary`` are built only when a later column lands
+    on the same low.  A column is the set of its rows, and adding the
+    pivot column is ``col ^= pivot``.
     """
-    pivots: dict[int, dict[int, int] | int] = {}
+    pivots: dict[int, set[int] | int] = {}
     for face in reversed(faces.grades[i]):
         if face in cleared:
             continue
@@ -174,27 +184,14 @@ def _reduce_boundary(
         if low not in pivots:
             pivots[low] = face
             continue
-        col = _boundary(face)
+        col = set(_boundary(face))
         while low in pivots:
             pivot = pivots[low]
             if isinstance(pivot, int):
-                pivot = pivots[low] = _boundary(pivot)
-            a, b = col[low], pivot[low]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if b != 1:
-                col = {r: b * v for r, v in col.items()}
-            for r, v in pivot.items():
-                x = col.get(r, 0) - a * v
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
+                pivot = pivots[low] = set(_boundary(pivot))
+            col ^= pivot
             if not col:
                 break
-            content = gcd(*col.values())
-            if content > 1:
-                col = {r: v // content for r, v in col.items()}
             low = max(col)
         else:
             pivots[low] = col

@@ -123,9 +123,6 @@ class UnicyclicLayout:
     def single_cycle_classes(self) -> tuple[ParallelClass, ...]:
         return self.cycle_classes[self.r_prime :]
 
-    def cycle_class_sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.cycle_classes)
-
     def canonical_labels(self) -> dict[str, str]:
         """Map every edge id to its positional label, in canonical order.
 
@@ -141,10 +138,6 @@ class UnicyclicLayout:
         for a, eid in enumerate(self.outside_single_edges, start=1):
             labels[eid] = f"e_{{{a}}}"
         return labels
-
-    def edge_order(self) -> tuple[str, ...]:
-        """All edge ids in canonical label order."""
-        return tuple(self.canonical_labels())
 
 
 def build_multigraph(vertices, edges) -> Multigraph:

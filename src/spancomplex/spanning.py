@@ -54,7 +54,7 @@ def count_spanning_trees_layout(layout: UnicyclicLayout) -> int:
     (product of outside multiplicities) * sum over cycle positions w of
     the product of the other cycle multiplicities."""
     outside = prod(c.size for c in layout.outside_multiple_classes)
-    sizes = layout.cycle_class_sizes()
+    sizes = [c.size for c in layout.cycle_classes]
     total = prod(sizes)
     per_deletion = sum(total // sizes[w] for w in range(layout.m))
     return outside * per_deletion

@@ -103,6 +103,17 @@ def test_analyze_no_oracle(capsys):
     assert doc["settings"]["oracle"] is False
 
 
+def test_analyze_no_oracle_runs_past_the_edge_budget(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64), "--no-oracle", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dimension"] == 62
+    assert doc["spanning_trees"]["count_closed_form"] == "64"
+    assert len(doc["covers"]) == 2016
+    assert doc["euler_characteristic"]["closed_form"] == "2"
+    assert doc["discrepancies"] == []
+
+
 def test_analyze_budget_exceeded(capsys, tmp_path):
     # a uni-cyclic graph far past the budget: the oracles cannot run on it
     code, out, err = run_cli(capsys, "analyze", _cycle_file(tmp_path, 64))

@@ -18,7 +18,14 @@ from spancomplex.kernels.pyref import matrix_rank
 
 import bruteforce
 from bruteforce import dense
-from conftest import SIX_PENDANTS, connected_multigraphs, make_doubled_six_cycle
+from conftest import (
+    SIX_PENDANTS,
+    connected_multigraphs,
+    layout_graph,
+    make_doubled_six_cycle,
+    make_fig1,
+    make_theta,
+)
 
 
 def _dense(faces, i):
@@ -260,6 +267,31 @@ def test_betti_beyond_dense_reach(monkeypatch, extra, n_faces, top_betti, max_bu
     ranks = profile.boundary_ranks + (0,)
     for i in range(d + 1):
         assert ranks[i] + ranks[i + 1] == fv.counts[i] - expected[i]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_fig1(), make_theta(), layout_graph([2, 2, 2], (2, 2)), layout_graph([3, 3, 3])],
+    ids=["fig1", "theta", "c222-o22", "c333"],
+)
+def test_reduced_columns_are_mod_2_cycles(g):
+    # the ranks alone cannot tell a wrong update from the right one: each
+    # built column is a sum of boundaries, so keyed by its largest face and
+    # with every (i-2)-face an even number of times in its faces' boundaries
+    faces = graded_faces(g)
+    pivots, built = {}, 0
+    for i in range(faces.dim, 0, -1):
+        pivots = homology._reduce_boundary(faces, i, cleared=pivots.keys())
+        for low, col in pivots.items():
+            if isinstance(col, int):
+                continue
+            built += 1
+            assert low == max(col)
+            odd = set()
+            for face in col:
+                odd.symmetric_difference_update(homology._boundary(face))
+            assert not odd
+    assert built
 
 
 def test_coordinate_triples(fig1):
