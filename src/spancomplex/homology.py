@@ -2,7 +2,7 @@
 and Betti numbers.
 
 Faces are forests, kept as the kernel's bitmasks (``GradedFaces.names``
-decodes one), graded by dimension and ordered by the graph's input edge
+decodes one), graded by dimension and sorted by the graph's input edge
 order, the tie-break rule of ``Multigraph``; the boundary maps are the
 usual signed incidence matrices.  The enumeration depends on the graph
 alone, never on its uni-cyclic layout, so it stays an independent oracle
@@ -79,16 +79,14 @@ def graded_faces(g: Multigraph) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
     The global order is ``g.edge_ids()``.  The edges are indexed in its
-    reverse, so ``kernels.forest_masks``, which lists each size in
-    descending mask order, gives every grade in the global order; nothing
-    is sorted.  See ``GradedFaces``.
+    reverse, so ``kernels.forest_grades``, which sorts each size in
+    descending mask order, gives every grade in the global order.  See
+    ``GradedFaces``.
     """
     kernels.require_budget(g.n_edges, "graded face enumeration")
     us, vs = edge_endpoint_indices(g)
-    # g is connected, so its largest forests have |V| - 1 edges
-    grades: list[list[int]] = [[] for _ in range(g.n_vertices - 1)]
-    for mask in kernels.forest_masks(us[::-1], vs[::-1], g.n_vertices):
-        grades[mask.bit_count() - 1].append(mask)
+    # g is connected, so none of the kernel's |V| - 1 grades is empty
+    grades = kernels.forest_grades(us[::-1], vs[::-1], g.n_vertices)
     return GradedFaces(edge_order=g.edge_ids(), grades=tuple(map(tuple, grades)))
 
 

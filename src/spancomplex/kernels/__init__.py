@@ -1,21 +1,24 @@
 """The computational kernels: forest, spanning-tree and bridge enumeration.
 
 Pure Python with arbitrary-precision arithmetic; each edge subset is one
-int bitmask over the edge indices.  ``forest_masks`` lists every face of
-the complex, each size in descending mask order, with no sort.
-``spanning_tree_masks`` lists only the facets, the spanning trees, with
-no detour through the other forests.  ``bridge_mask`` finds the bridges,
-the coloops of the cycle matroid, by one depth-first search from the
-edge endpoints alone; every spanning tree holds them and each is a bond
-on its own, so the tree and bond oracles contract them
-(``contract_bridges``) and branch only on the rest, and recognition
-takes the non-bridge arcs of the class quotient as its cycle.
+int bitmask over the edge indices.  ``forest_grades`` lists every face of
+the complex by size, each size sorted in descending mask order: it walks
+only the arcs of the class quotient that are not its bridges, one edge
+per arc, and expands the other parallel members and the bridge classes
+afterwards.  ``spanning_tree_masks`` lists only the facets, the
+spanning trees, with no detour through the other forests.
+``bridge_mask`` finds the bridges, the coloops of the cycle matroid, by
+one depth-first search from the edge endpoints alone; every spanning
+tree holds them and each is a bond on its own, so the tree and bond
+oracles contract them (``contract_bridges``) and branch only on the
+rest, and recognition takes the non-bridge arcs of the class quotient
+as its cycle.
 
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
 pendant edge doubles the faces to list, so larger graphs take the closed
 forms alone (``analyze --no-oracle``).  Spanning trees are listed at any
-width; ``forest_masks`` guards its own input at the same limit.
+width; ``forest_grades`` guards its own input at the same limit.
 
 ``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
 ``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
@@ -42,28 +45,67 @@ def require_budget(n_edges: int, stage: str) -> None:
         raise BudgetExceededError(stage, n_edges, EDGE_BUDGET)
 
 
-def forest_masks(us, vs, n_vertices):
-    """Bitmasks of every non-empty acyclic edge subset (forest).
+def forest_grades(us, vs, n_vertices):
+    """Bitmasks of every non-empty acyclic edge subset (forest), by size.
 
-    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  Edges are tried
-    from the last index down, so each size comes out in descending mask
-    order; the sizes are interleaved.
+    Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  Returns
+    ``n_vertices - 1`` lists: list k holds the forests of k + 1 edges, in
+    descending mask order.  A forest takes at most one edge of each
+    parallel class, and a class whose arc is a bridge of the class
+    quotient never closes a cycle: the cycle matroid is a direct sum,
+    with parallel copies as parallel elements (Whitney, "2-isomorphic
+    graphs", 1933; Oxley, *Matroid Theory*, ch. 4).  So the union-find
+    walk runs only on the other arcs, each one represented by its highest
+    edge, and the other members and the bridge classes are expanded
+    afterwards.
     """
-    if len(us) > EDGE_BUDGET:
+    n = len(us)
+    if n > EDGE_BUDGET:
         raise ValueError(f"forest enumeration supports at most {EDGE_BUDGET} edges")
-    out = []
-    _extend(len(us) - 1, 0, us, vs, list(range(n_vertices)), out)
-    return out
+    arcs = {}  # endpoint pair -> member bits, highest first
+    for e in range(n - 1, -1, -1):
+        u, v = us[e], vs[e]
+        arcs.setdefault((u, v) if u < v else (v, u), []).append(1 << e)
+    ends, members = list(arcs), list(arcs.values())
+    bridges = bridge_mask([u for u, _ in ends], [v for _, v in ends], n_vertices)
+    core = [a for a in range(len(ends)) if not bridges >> a & 1]
+    # grade k holds the forests of k edges, from the empty one; the walk
+    # looks one grade past the largest forest, of n_vertices - 1 edges
+    grades = [[0]] + [[] for _ in range(n_vertices)]
+    _walk(
+        0, 0, 1, [members[a][0] for a in core], [ends[a][0] for a in core],
+        [ends[a][1] for a in core], list(range(n_vertices)), grades,
+    )
+    # the other core members first, before the bridge classes multiply
+    # the grades they must scan
+    for a in core:
+        b0, *others = members[a]
+        if others:
+            for gr in grades:
+                gr += [m ^ b0 | b for m in gr if m & b0 for b in others]
+    for a in range(len(ends)):
+        if bridges >> a & 1:
+            # none or one member: grade k + 1 gains grade k with one more edge
+            for k in range(n_vertices - 2, -1, -1):
+                grades[k + 1] += [m | b for m in grades[k] for b in members[a]]
+    for gr in grades:
+        gr.sort(reverse=True)
+    return grades[1:-1]
 
 
-def _extend(idx, mask, us, vs, parent, out):
-    """Append every forest that adds edges <= idx to ``mask``.
+def _walk(j, mask, size, bits, us, vs, parent, grades):
+    """Append to ``grades[size]`` every forest that adds one of the edges
+    >= j to ``mask``, and recurse for the larger ones.
 
+    Edge i joins ``us[i]`` and ``vs[i]`` and is the bit ``bits[i]``; the
+    bits descend, so the walk appends each grade in descending mask
+    order, which leaves ``forest_grades``'s final sort little to do.
     Union-find with rollback: no path compression, so a single parent
     write per union is enough to undo it.  A module-level function, not
-    a closure, so no reference cycle keeps ``out`` alive after the call.
+    a closure, so no reference cycle keeps ``grades`` alive after the call.
     """
-    for i in range(idx, -1, -1):
+    out = grades[size]
+    for i in range(j, len(bits)):
         ru = us[i]
         while parent[ru] != ru:
             ru = parent[ru]
@@ -73,9 +115,9 @@ def _extend(idx, mask, us, vs, parent, out):
         if ru == rv:
             continue
         parent[ru] = rv
-        m = mask | (1 << i)
+        m = mask | bits[i]
         out.append(m)
-        _extend(i - 1, m, us, vs, parent, out)
+        _walk(i + 1, m, size + 1, bits, us, vs, parent, grades)
         parent[ru] = ru
 
 
@@ -107,7 +149,7 @@ def _grow(i, mask, need, bits, us, vs, parent, out):
     mask.  Invariant: ``mask`` is a forest, and ``mask`` plus the edges
     >= i span the graph, so every call appends at least one tree.  Edge i
     is taken only if it joins two components of ``mask`` (union-find with
-    rollback, as in ``_extend``), and left out only if it is not a bridge
+    rollback, as in ``_walk``), and left out only if it is not a bridge
     of ``mask`` plus the edges after i.  A module-level function, not a
     closure, so no reference cycle keeps ``out`` alive after the call.
     """

@@ -12,13 +12,13 @@ import bruteforce
 
 def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
     calls = []
-    forest_masks = kernels.forest_masks
+    forest_grades = kernels.forest_grades
 
     def counting(*args):
         calls.append(args)
-        return forest_masks(*args)
+        return forest_grades(*args)
 
-    monkeypatch.setattr(kernels, "forest_masks", counting)
+    monkeypatch.setattr(kernels, "forest_grades", counting)
     report = run_analyze(fig1)
     assert len(calls) == 1
     assert not report.discrepancies

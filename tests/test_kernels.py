@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +31,49 @@ def _random_matrix(rng, lo=-3, hi=3, max_dim=9):
 
 def test_forest_masks_triangle():
     # edges 0:(0,1) 1:(1,2) 2:(2,0): every proper subset is a forest
-    masks = kernels.forest_masks([0, 1, 2], [1, 2, 0], 3)
-    assert sorted(masks) == [1, 2, 3, 4, 5, 6]
-    # each size comes out in descending mask order, with no sort
-    assert [m for m in masks if m.bit_count() == 1] == [4, 2, 1]
-    assert [m for m in masks if m.bit_count() == 2] == [6, 5, 3]
+    assert kernels.forest_grades([0, 1, 2], [1, 2, 0], 3) == [[4, 2, 1], [6, 5, 3]]
+
+
+def _bruteforce_grades(us, vs, n_vertices):
+    # every subset that bruteforce.is_forest accepts, by size, descending
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = [(f"e{i}", (vertices[u], vertices[v])) for i, (u, v) in enumerate(zip(us, vs))]
+    g = build_multigraph(vertices, edges)
+    grades = [[] for _ in range(n_vertices - 1)]
+    for k in range(1, n_vertices):
+        for subset in combinations(range(len(us)), k):
+            if bruteforce.is_forest(g, [f"e{i}" for i in subset]):
+                grades[k - 1].append(sum(1 << i for i in subset))
+    return [sorted(gr, reverse=True) for gr in grades]
+
+
+@pytest.mark.parametrize(
+    "us,vs,n_vertices",
+    [
+        # K4: a simple core, nothing to factor
+        ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], 4),
+        # a triangle with sides of 3, 2 and 2 parallel edges, interleaved
+        ([0, 1, 0, 2, 1, 0, 2], [1, 2, 1, 0, 2, 1, 0], 3),
+        # a triangle with a doubled side, then a double pendant class, a
+        # pendant edge, a tripled bridge beyond it and a last pendant edge
+        ([0, 1, 2, 0, 3, 0, 2, 4, 5, 4, 5], [1, 2, 0, 1, 0, 3, 4, 5, 4, 5, 6], 7),
+        # a tree of double classes and single edges: no core at all
+        ([0, 1, 0, 1, 2, 2, 3], [1, 2, 1, 3, 4, 4, 5], 6),
+        # two 4-cycles sharing a doubled edge, one with a doubled side, and
+        # a double pendant class and a pendant edge
+        ([0, 1, 2, 3, 0, 1, 4, 5, 1, 2, 2, 5], [1, 2, 3, 0, 1, 4, 5, 0, 4, 6, 6, 7], 8),
+    ],
+    ids=["k4", "parallel-core", "bridge-classes", "tree-of-classes", "two-cycles"],
+)
+def test_forest_grades_equal_bruteforce_on_mixed_classes(us, vs, n_vertices):
+    assert kernels.forest_grades(us, vs, n_vertices) == _bruteforce_grades(us, vs, n_vertices)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(connected_multigraphs(max_edges=10))
+def test_forest_grades_equal_bruteforce(g):
+    us, vs = edge_endpoint_indices(g)
+    assert kernels.forest_grades(us, vs, g.n_vertices) == _bruteforce_grades(us, vs, g.n_vertices)
 
 
 def _assert_no_reference_cycle(kernel, *args):
@@ -51,18 +90,18 @@ def _assert_no_reference_cycle(kernel, *args):
 
 
 def test_forest_masks_leaves_no_reference_cycle():
-    _assert_no_reference_cycle(kernels.forest_masks, [0, 1, 2], [1, 2, 0], 3)
+    # a triangle with a doubled side and a pendant edge: walk and both expansions
+    _assert_no_reference_cycle(kernels.forest_grades, [0, 1, 2, 0, 0], [1, 2, 0, 1, 3], 4)
 
 
 def test_forest_masks_rejects_wide_input():
     n = kernels.EDGE_BUDGET + 1
     with pytest.raises(ValueError):
-        kernels.forest_masks([0] * n, [1] * n, 2)
+        kernels.forest_grades([0] * n, [1] * n, 2)
 
 
 def _tree_filter(us, vs, n_vertices):
-    masks = kernels.forest_masks(us, vs, n_vertices)
-    return sorted(m for m in masks if m.bit_count() == n_vertices - 1)
+    return sorted(kernels.forest_grades(us, vs, n_vertices)[-1])
 
 
 def test_spanning_tree_masks_equal_forest_filter():

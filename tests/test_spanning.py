@@ -158,7 +158,7 @@ def test_generic_matches_subset_filter_on_random_suite():
 
 
 def test_generic_enumerates_no_forests(monkeypatch, fig1, theta):
-    calls = {"forest_masks": 0, "spanning_tree_masks": 0}
+    calls = {"forest_grades": 0, "spanning_tree_masks": 0}
     for name in calls:
         kernel = getattr(kernels, name)
 
@@ -169,7 +169,7 @@ def test_generic_enumerates_no_forests(monkeypatch, fig1, theta):
         monkeypatch.setattr(kernels, name, counting)
     enumerate_spanning_trees_generic(fig1)
     enumerate_spanning_trees_generic(theta)
-    assert calls == {"forest_masks": 0, "spanning_tree_masks": 2}
+    assert calls == {"forest_grades": 0, "spanning_tree_masks": 2}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
