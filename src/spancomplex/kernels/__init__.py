@@ -17,8 +17,9 @@ as its cycle.
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
 pendant edge doubles the faces to list, so larger graphs take the closed
-forms alone (``analyze --no-oracle``).  Spanning trees are listed at any
-width; ``forest_grades`` guards its own input at the same limit.
+forms alone (``analyze --no-oracle``).  A tree mask is an int of any
+width, but ``_grow`` recurses once per core edge, so a core longer than the
+recursion limit raises ``RecursionError``; ``forest_grades`` checks the budget.
 
 ``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
 ``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
@@ -69,9 +70,9 @@ def forest_grades(us, vs, n_vertices):
     ends, members = list(arcs), list(arcs.values())
     bridges = bridge_mask([u for u, _ in ends], [v for _, v in ends], n_vertices)
     core = [a for a in range(len(ends)) if not bridges >> a & 1]
-    # grade k holds the forests of k edges, from the empty one; the walk
-    # looks one grade past the largest forest, of n_vertices - 1 edges
-    grades = [[0]] + [[] for _ in range(n_vertices)]
+    # grade k holds the forests of k edges, from the empty one to the
+    # spanning trees, of n_vertices - 1 edges; there is no grade past them
+    grades = [[0]] + [[] for _ in range(n_vertices - 1)]
     _walk(
         0, 0, 1, [members[a][0] for a in core], [ends[a][0] for a in core],
         [ends[a][1] for a in core], list(range(n_vertices)), grades,
@@ -90,12 +91,13 @@ def forest_grades(us, vs, n_vertices):
                 grades[k + 1] += [m | b for m in grades[k] for b in members[a]]
     for gr in grades:
         gr.sort(reverse=True)
-    return grades[1:-1]
+    return grades[1:]
 
 
 def _walk(j, mask, size, bits, us, vs, parent, grades):
     """Append to ``grades[size]`` every forest that adds one of the edges
-    >= j to ``mask``, and recurse for the larger ones.
+    >= j to ``mask``, and recurse for the larger ones below the top grade:
+    a forest of ``len(grades) - 1`` edges spans, so no edge extends it.
 
     Edge i joins ``us[i]`` and ``vs[i]`` and is the bit ``bits[i]``; the
     bits descend, so the walk appends each grade in descending mask
@@ -105,6 +107,7 @@ def _walk(j, mask, size, bits, us, vs, parent, grades):
     a closure, so no reference cycle keeps ``grades`` alive after the call.
     """
     out = grades[size]
+    deeper = size + 1 < len(grades)
     for i in range(j, len(bits)):
         ru = us[i]
         while parent[ru] != ru:
@@ -117,7 +120,8 @@ def _walk(j, mask, size, bits, us, vs, parent, grades):
         parent[ru] = rv
         m = mask | bits[i]
         out.append(m)
-        _walk(i + 1, m, size + 1, bits, us, vs, parent, grades)
+        if deeper:
+            _walk(i + 1, m, size + 1, bits, us, vs, parent, grades)
         parent[ru] = ru
 
 

@@ -11,7 +11,7 @@ layout used by every closed-form computation in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import (
@@ -94,26 +94,34 @@ class UnicyclicLayout:
     traversal order).  ``outside_multiple_classes`` occupy positions
     m+1..m+r''; ``outside_single_edges`` are the remaining v single edges.
 
-    Scalars: n total edges, alpha the total multiplicity on the cycle's
-    multiple classes, beta the total multiplicity outside, and
-    n = alpha + (m - r') + beta + v always holds.
+    The paper's scalars are derived once from the three class tuples, the
+    only constructor fields: n counts every class member plus the single
+    edges, alpha the members of the cycle's multiple classes, beta those
+    of the outside ones, and r = r' + r'', so n = alpha + (m - r') + beta + v.
     """
 
     cycle_classes: tuple[ParallelClass, ...]
     outside_multiple_classes: tuple[ParallelClass, ...]
     outside_single_edges: tuple[str, ...]
-    n: int
-    m: int
-    r_prime: int
-    r_dprime: int
-    r: int
-    alpha: int
-    beta: int
-    v: int
+    n: int = field(init=False)
+    m: int = field(init=False)
+    r_prime: int = field(init=False)
+    r_dprime: int = field(init=False)
+    r: int = field(init=False)
+    alpha: int = field(init=False)
+    beta: int = field(init=False)
+    v: int = field(init=False)
 
     def __post_init__(self):
-        if self.n != self.alpha + (self.m - self.r_prime) + self.beta + self.v:
-            raise AssertionError("layout scalars are inconsistent")
+        cycle = [c.size for c in self.cycle_classes if c.is_multiple]
+        outside = [c.size for c in self.outside_multiple_classes]
+        v = len(self.outside_single_edges)
+        # frozen, so the derived fields bypass the dataclass's __setattr__
+        self.__dict__.update(
+            n=sum(c.size for c in self.cycle_classes) + sum(outside) + v,
+            m=len(self.cycle_classes), r_prime=len(cycle), r_dprime=len(outside),
+            r=len(cycle) + len(outside), alpha=sum(cycle), beta=sum(outside), v=v,
+        )
 
     @property
     def multiple_cycle_classes(self) -> tuple[ParallelClass, ...]:
@@ -260,10 +268,9 @@ def recognize_unicyclic(g: Multigraph) -> UnicyclicLayout:
     """
     classes = parallel_classes(g)
     cycle = _quotient_cycle(g, classes)
-    m = len(cycle)
 
     # rotate to the canonical start and direction
-    start_pos = min(range(m), key=lambda i: cycle[i].min_member)
+    start_pos = min(range(len(cycle)), key=lambda i: cycle[i].min_member)
     forward = cycle[start_pos:] + cycle[:start_pos]
     backward = [forward[0]] + list(reversed(forward[1:]))
     traversal = forward if forward[1].min_member < backward[1].min_member else backward
@@ -275,22 +282,10 @@ def recognize_unicyclic(g: Multigraph) -> UnicyclicLayout:
     out_multiple = sorted((c for c in outside if c.is_multiple), key=lambda c: c.min_member)
     out_single = sorted(c.members[0] for c in outside if not c.is_multiple)
 
-    alpha = sum(c.size for c in cyc_multiple)
-    beta = sum(c.size for c in out_multiple)
-    r_prime = len(cyc_multiple)
-    r_dprime = len(out_multiple)
     return UnicyclicLayout(
         cycle_classes=tuple(cyc_multiple + cyc_single),
         outside_multiple_classes=tuple(out_multiple),
         outside_single_edges=tuple(out_single),
-        n=g.n_edges,
-        m=m,
-        r_prime=r_prime,
-        r_dprime=r_dprime,
-        r=r_prime + r_dprime,
-        alpha=alpha,
-        beta=beta,
-        v=len(out_single),
     )
 
 

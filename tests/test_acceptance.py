@@ -192,20 +192,19 @@ def test_criterion_5_ideal_membership(suite_graphs):
 
 def test_criterion_6_determinism():
     with reported("6 byte-identical reports"):
-        cmd = [
-            sys.executable,
-            "-m",
-            "spancomplex.cli",
-            "analyze",
-            str(FIXTURES / "u_7_3_2.json"),
-            "--json",
-        ]
         # the child imports the package this suite imported, installed or not
         paths = [str(Path(spancomplex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
-        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
-        assert first.stdout == second.stdout
-        assert first.stdout
-        doc = json.loads(first.stdout)
-        assert doc["discrepancies"] == []
+        # the uni-cyclic path and the theta graph's non-uni-cyclic path, each
+        # under two string hash seeds, so no set or dict order reaches the bytes
+        for fixture in ("u_7_3_2.json", "theta.json"):
+            for command in ("analyze", "homology"):
+                cmd = [sys.executable, "-m", "spancomplex.cli", command, str(FIXTURES / fixture), "--json"]
+                first, second = (
+                    subprocess.run(cmd, capture_output=True, check=True, env=dict(env, PYTHONHASHSEED=seed))
+                    for seed in ("0", "1")
+                )
+                assert first.stdout == second.stdout
+                assert first.stdout
+                if command == "analyze":
+                    assert json.loads(first.stdout)["discrepancies"] == []

@@ -100,6 +100,24 @@ def test_forest_masks_rejects_wide_input():
         kernels.forest_grades([0] * n, [1] * n, 2)
 
 
+def test_forest_walk_stops_at_spanning_trees(monkeypatch):
+    # K5: one call per forest below the top grade (1 + 10 + 45 + 110);
+    # recursing from the 125 spanning trees too costs 291 calls
+    calls = 0
+    walk = kernels._walk
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(kernels, "_walk", counted)
+    us, vs = zip(*combinations(range(5), 2))
+    grades = kernels.forest_grades(us, vs, 5)
+    assert [len(gr) for gr in grades] == [10, 45, 110, 125]
+    assert calls <= 166
+
+
 def _tree_filter(us, vs, n_vertices):
     return sorted(kernels.forest_grades(us, vs, n_vertices)[-1])
 

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancomplex import (
     DisconnectedGraphError,
@@ -12,8 +15,10 @@ from spancomplex import (
     LoopEdgeError,
     NotUnicyclicError,
     SchemaError,
+    UnicyclicLayout,
     UnknownEndpointError,
     build_multigraph,
+    load_graph_file,
     multigraph_from_json,
     parallel_classes,
     recognize_unicyclic,
@@ -23,7 +28,7 @@ from spancomplex.multigraph import _quotient_cycle
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
-from conftest import connected_multigraphs, make_fig1
+from conftest import FIXTURES, connected_multigraphs, make_fig1, unicyclic_multigraphs
 
 
 def test_build_fig1():
@@ -195,6 +200,44 @@ def test_layout_scalar_invariant(suite_graphs):
         assert all(c.size >= 2 for c in lay.multiple_cycle_classes)
         assert all(c.size >= 2 for c in lay.outside_multiple_classes)
         assert all(c.size == 1 for c in lay.single_cycle_classes)
+
+
+def test_layout_takes_only_the_class_tuples(suite_graphs):
+    fixtures = [load_graph_file(p) for p in sorted(FIXTURES.glob("*.json")) if p.stem != "theta"]
+    for g in fixtures + suite_graphs:
+        lay = recognize_unicyclic(g)
+        tuples = (lay.cycle_classes, lay.outside_multiple_classes, lay.outside_single_edges)
+        assert UnicyclicLayout(*tuples) == lay
+    scalars = ("n", "m", "r_prime", "r_dprime", "r", "alpha", "beta", "v")
+    for name in scalars:
+        with pytest.raises(TypeError):
+            UnicyclicLayout(*tuples, **{name: 0})
+        with pytest.raises(ValueError):
+            dataclasses.replace(lay, **{name: 0})
+
+
+@st.composite
+def _drawn_layouts(draw):
+    sizes = st.integers(1, 4)
+    cycle_sizes = draw(st.lists(sizes, min_size=3, max_size=7))
+    outside_sizes = draw(st.lists(sizes, max_size=5))
+    return draw(unicyclic_multigraphs(cycle_sizes, outside_sizes)), cycle_sizes, outside_sizes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_drawn_layouts())
+def test_recognized_scalars_count_the_drawn_shape(drawn):
+    g, cycle_sizes, outside_sizes = drawn
+    lay = recognize_unicyclic(g)
+    cycle_multiple = [s for s in cycle_sizes if s >= 2]
+    outside_multiple = [s for s in outside_sizes if s >= 2]
+    assert lay.n == sum(cycle_sizes) + sum(outside_sizes) == g.n_edges
+    assert lay.m == len(cycle_sizes)
+    assert (lay.r_prime, lay.alpha) == (len(cycle_multiple), sum(cycle_multiple))
+    assert (lay.r_dprime, lay.beta) == (len(outside_multiple), sum(outside_multiple))
+    assert lay.r == lay.r_prime + lay.r_dprime
+    assert lay.v == outside_sizes.count(1)
+    assert Counter(c.size for c in lay.cycle_classes) == Counter(cycle_sizes)
 
 
 def test_quotient_arc_count_equals_vertex_count(suite_graphs):
