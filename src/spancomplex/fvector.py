@@ -16,11 +16,18 @@ the column for l - 1 by Pascal's rule, with one ``math.comb`` at its
 top, and the column for l = 0 is walked by
 C(N, q+1) = C(N, q)(N - q)/(q + 1).  Each entry point evaluates only
 the dimensions it returns.
+
+The weights of both inclusion-exclusion blocks and their lifts do not
+depend on the dimension, so they are computed once per layout object
+(``_blocks``): ``f_vector_closed_form`` and then ``closed_form_tail`` on
+one layout lift the weights once, and each walks the binomial columns
+over its own range only.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from .multigraph import UnicyclicLayout
@@ -126,9 +133,31 @@ def _pascal_sums(base: int, coeffs: list[int], lo: int, hi: int) -> tuple[list[i
     return lead, sums
 
 
-def _terms(layout: UnicyclicLayout, start: int, stop: int) -> list[int]:
-    """The closed-form face counts for i = start..stop-1 (see ``closed_form_terms``)."""
-    n, m = layout.n, layout.m
+_NO_LAYOUT = (lambda: None, None)
+# (weak reference to the last layout, its blocks); one slot, so nothing
+# is hashed and no layout is kept alive
+_last_blocks = _NO_LAYOUT
+
+
+def _forget(ref) -> None:
+    global _last_blocks
+    if _last_blocks[0] is ref:
+        _last_blocks = _NO_LAYOUT
+
+
+def _blocks(layout: UnicyclicLayout) -> tuple[int, int, list[int], list[int]]:
+    """The dimension-free parts of the closed form: the cycle choices, N0
+    and the lifted weights of both blocks (see ``closed_form_terms``).
+
+    Memoised for the last layout passed in, matched by identity, never by
+    equality; the slot empties when that layout is freed.  The slot is
+    read and replaced whole, so concurrent callers can only evict each
+    other's blocks, never read another layout's.
+    """
+    global _last_blocks
+    ref, blocks = _last_blocks
+    if ref() is layout:
+        return blocks
     alpha, beta = layout.alpha, layout.beta
     ab = alpha + beta
 
@@ -141,13 +170,22 @@ def _terms(layout: UnicyclicLayout, start: int, stop: int) -> list[int]:
     cycle_choices = math.prod(cyc_sizes)
 
     # subsets containing the full cycle but no doubled class: N0 edges remain
-    n0 = n - alpha + layout.r_prime - m
+    n0 = layout.n - alpha + layout.r_prime - layout.m
     c_out = _lift([b - e for b, e in zip(_column(beta, 0, beta + 1), e_out)], beta)
     # subsets containing at least two copies from some class
     c_all = _lift([b - e for b, e in zip(_column(ab, 0, ab + 1), e_all)], ab)
 
+    blocks = (cycle_choices, n0, c_out, c_all)
+    _last_blocks = (weakref.ref(layout, _forget), blocks)
+    return blocks
+
+
+def _terms(layout: UnicyclicLayout, start: int, stop: int) -> list[int]:
+    """The closed-form face counts for i = start..stop-1 (see ``closed_form_terms``)."""
+    cycle_choices, n0, c_out, c_all = _blocks(layout)
+    m = layout.m
     # a term of dimension i counts subsets of p = i+1 edges, k = p-m off the cycle
-    every, doubled = _pascal_sums(n, c_all, start + 1, stop + 1)
+    every, doubled = _pascal_sums(layout.n, c_all, start + 1, stop + 1)
     free, excess = _pascal_sums(n0, c_out, start + 1 - m, stop + 1 - m)
     return [
         total - cycle_choices * (bracket - minus) - dbl
@@ -163,11 +201,13 @@ def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
     least two copies from one parallel class.  The paper writes each
     block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
     here the j and l sums are swapped, so the weights w_j and their lift
-    to coefficients c_l (``_lift``) are computed once per call.  Then the
+    to coefficients c_l (``_lift``) are computed once per layout object
+    (``_blocks``), whichever entry point asks first.  Then the
     l and i loops are swapped too: the outer loop over l walks the
     binomial column C(N-l, k-l) over all requested k by Pascal's rule
     (``_pascal_sums``), so a call makes one ``math.comb`` per column, not
-    one per (i, l) pair.  This is the same finite sum reordered, with no
+    one per (i, l) pair; each call walks the columns again, over its own
+    range of i only.  This is the same finite sum reordered, with no
     binomial identity applied beyond the recurrences that produce its
     binomials.  Empty sums are 0, empty products 1, and out-of-range
     binomials vanish, so degenerate layouts collapse correctly.  Terms
@@ -177,7 +217,11 @@ def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
 
 
 def f_vector_closed_form(layout: UnicyclicLayout) -> FVector:
-    """Closed-form f-vector: the terms for i = 0..dim, and no others."""
+    """Closed-form f-vector: the terms for i = 0..dim, and no others.
+
+    The lifted weights are shared with a ``closed_form_tail`` call on the
+    same layout object; the columns are walked for i = 0..dim only.
+    """
     return FVector(tuple(_terms(layout, 0, dimension(layout) + 1)))
 
 
@@ -185,6 +229,8 @@ def closed_form_tail(layout: UnicyclicLayout) -> list[int]:
     """Closed-form terms beyond the dimension, i = d+1..n-1, and no others.
 
     All must vanish; the verification harness flags any nonzero value.
+    The lifted weights are shared with an ``f_vector_closed_form`` call on
+    the same layout object; the columns are walked for i = d+1..n-1 only.
     """
     return _terms(layout, dimension(layout) + 1, layout.n)
 

@@ -21,9 +21,11 @@ forms alone (``analyze --no-oracle``).  A tree mask is an int of any
 width, but ``_grow`` recurses once per core edge, so a core longer than the
 recursion limit raises ``RecursionError``; ``forest_grades`` checks the budget.
 
-``_flood`` over ``_neighbour_masks`` is the one connectivity test, for
-``build_multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.
-Both stay private, so the benchmark's tracer does not time every call.
+``_flood`` is the one connectivity test, for ``build_multigraph``,
+``spanning_tree_masks`` and the bonds in ``ideal``.  The last two build
+its neighbour masks with ``_neighbour_masks``; ``build_multigraph`` ORs
+them in while it validates the edges.  Both stay private, so the
+benchmark's tracer does not time every call.
 
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps

@@ -155,7 +155,9 @@ def build_multigraph(vertices, edges) -> Multigraph:
     ids and both ends of each record become strings.  Raises a distinct
     error per defect: ``EmptyGraphError``, ``DuplicateEdgeIdError``,
     ``UnknownEndpointError``, ``LoopEdgeError``, ``DisconnectedGraphError``
-    (from ``kernels._flood``) or ``GraphValidationError``.
+    (from ``kernels._flood``) or ``GraphValidationError``.  One loop over
+    the edges validates them and builds the neighbour masks that the
+    connectivity flood reads.
     """
     vertices = tuple(str(v) for v in vertices)
     edges = list(edges)
@@ -163,14 +165,13 @@ def build_multigraph(vertices, edges) -> Multigraph:
         raise EmptyGraphError("vertex list is empty")
     if not edges:
         raise EmptyGraphError("edge list is empty; no spanning structure possible")
-    vset: set[str] = set()
-    for v in vertices:
-        if v in vset:
-            raise GraphValidationError(f"duplicate vertex identifier {v!r}")
-        vset.add(v)
+    index = dict(zip(vertices, range(len(vertices))))
+    if len(index) != len(vertices):
+        raise GraphValidationError(f"duplicate vertex identifier {_first_repeat(vertices)!r}")
 
     seen_ids: set[str] = set()
     norm: list[Edge] = []
+    nbrs = [0] * len(vertices)
     for i, record in enumerate(edges):
         try:
             eid, ends = record
@@ -185,21 +186,23 @@ def build_multigraph(vertices, edges) -> Multigraph:
         if eid in seen_ids:
             raise DuplicateEdgeIdError(f"duplicate edge id {eid!r}")
         seen_ids.add(eid)
-        if u not in vset:
+        iu = index.get(u)
+        if iu is None:
             raise UnknownEndpointError(f"edge {eid!r} names unknown vertex {u!r}")
-        if v not in vset:
+        iv = index.get(v)
+        if iv is None:
             raise UnknownEndpointError(f"edge {eid!r} names unknown vertex {v!r}")
-        if u == v:
+        if iu == iv:
             raise LoopEdgeError(f"edge {eid!r} is a loop on vertex {u!r}")
+        nbrs[iu] |= 1 << iv
+        nbrs[iv] |= 1 << iu
         norm.append((eid, (u, v)))
 
-    g = Multigraph(vertices=vertices, edges=tuple(norm))
-    nbrs = kernels._neighbour_masks(g.n_vertices, *edge_endpoint_indices(g), removed=())
     reached = kernels._flood(nbrs, 1, -1)
-    if reached != (1 << g.n_vertices) - 1:
+    if reached != (1 << len(vertices)) - 1:
         missing = next(v for i, v in enumerate(vertices) if not reached >> i & 1)
         raise DisconnectedGraphError(f"vertex {missing!r} is unreachable")
-    return g
+    return Multigraph(vertices=vertices, edges=tuple(norm))
 
 
 def parallel_classes(g: Multigraph) -> list[ParallelClass]:
@@ -307,13 +310,24 @@ def edge_sets(sets) -> list[tuple[str, ...]]:
     return out
 
 
-def _reject_duplicate_keys(pairs):
+def _first_repeat(items):
+    """The first item that equals an earlier one (the caller knows one does)."""
     seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise SchemaError(f"duplicate key {key!r} in JSON object")
-        seen.add(key)
-    return dict(pairs)
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+
+
+def _reject_duplicate_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = _first_repeat(key for key, _ in pairs)
+        raise SchemaError(f"duplicate key {key!r} in JSON object")
+    return obj
+
+
+_EDGE_KEYS = frozenset(("id", "ends"))
 
 
 def multigraph_from_json(text: str) -> Multigraph:
@@ -352,7 +366,7 @@ def multigraph_from_json(text: str) -> Multigraph:
         where = f"edges[{i}]"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where} must be an object")
-        if set(rec) != {"id", "ends"}:
+        if rec.keys() != _EDGE_KEYS:
             raise SchemaError(f"{where} must have exactly the keys 'id' and 'ends'")
         if not isinstance(rec["id"], str):
             raise SchemaError(f"{where}.id must be a string")
@@ -360,7 +374,8 @@ def multigraph_from_json(text: str) -> Multigraph:
         if (
             not isinstance(ends, list)
             or len(ends) != 2
-            or not all(isinstance(x, str) for x in ends)
+            or not isinstance(ends[0], str)
+            or not isinstance(ends[1], str)
         ):
             raise SchemaError(f"{where}.ends must be an array of two vertex names")
         edges.append((rec["id"], (ends[0], ends[1])))

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -62,3 +63,23 @@ def test_package_exports_resolve():
 def test_readme_lists_every_check():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert re.findall(r"^- `([a-z]+:[a-z-]+)`", readme, re.M) == list(analysis.CHECKS)
+
+
+def test_readme_library_example_prints_its_comments(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    monkeypatch.chdir(root)  # the example reads a fixture by relative path
+    namespace = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        line = block.splitlines()[statement.end_lineno - 1]
+        code = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        # an expression's comment starts with the value it evaluates to
+        value = eval(code, namespace)
+        assert line.partition("#")[2].strip().startswith(repr(value)), line
+        checked += 1
+    assert checked == 6

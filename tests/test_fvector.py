@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +238,76 @@ def test_closed_form_makes_one_fresh_binomial_per_column(monkeypatch):
     assert closed_form_terms(lay) == expected
     # O(alpha + beta) columns; one math.comb per (i, l) pair would be ~45,000
     assert 0 < len(calls) <= 2 * (lay.alpha + lay.beta + 2)
+
+
+def test_entry_points_lift_the_weights_once_per_layout(monkeypatch):
+    calls = []
+    lift = fvector._lift
+
+    def counting(weights, top):
+        calls.append(top)
+        return lift(weights, top)
+
+    monkeypatch.setattr(fvector, "_lift", counting)
+    g = layout_graph([3, 2, 1, 1], (2, 3), 2)
+    a, b = recognize_unicyclic(g), recognize_unicyclic(layout_graph([2, 4, 1], (5,), 1))
+    f_vector_closed_form(a)
+    closed_form_tail(a)
+    # one lift per inclusion-exclusion block, not one per block and call
+    assert calls == [a.beta, a.alpha + a.beta]
+
+    # alternating layouts never read the other layout's blocks
+    for layout in (a, b, a):
+        split = list(f_vector_closed_form(layout).counts) + closed_form_tail(layout)
+        assert split == [_paper_term_literal(layout, i) for i in range(layout.n)]
+    assert len(calls) == 6
+
+    # an equal layout is another object, and lifts its own weights
+    again = recognize_unicyclic(g)
+    assert again == a and again is not a
+    closed_form_tail(again)
+    assert len(calls) == 8
+
+    # the memo keeps no layout alive, and drops its blocks with the layout
+    ref = weakref.ref(again)
+    del again, layout
+    assert ref() is None
+    assert fvector._last_blocks[1] is None
+
+
+def test_concurrent_callers_read_only_their_own_layouts_blocks():
+    layouts = [
+        recognize_unicyclic(layout_graph(cycle, outside, pendants))
+        for cycle, outside, pendants in [
+            ([3, 2, 1], (), 0), ([2, 2, 2, 1], (3,), 2), ([4, 1, 1], (2, 2), 1),
+            ([1, 1, 1, 5], (4,), 3), ([2, 3, 2], (2, 5), 0), ([1, 1, 1], (), 6),
+        ]
+    ]
+    expected = [[_paper_term_literal(lay, i) for i in range(lay.n)] for lay in layouts]
+    wrong = []
+
+    def work(k):
+        lay = layouts[k]
+        for _ in range(150):
+            try:
+                split = list(f_vector_closed_form(lay).counts) + closed_form_tail(lay)
+            except Exception as exc:  # recorded, so the assert below names it
+                split = exc
+            if split != expected[k]:
+                wrong.append((k, split))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(layouts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize(

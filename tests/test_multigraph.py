@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import time
 from collections import Counter
@@ -89,6 +90,14 @@ def test_build_turns_every_name_into_a_string():
     assert g.vertices == ("1", "2", "3")
     assert g.edges == (("a", ("1", "2")), ("b", ("2", "3")), ("c", ("3", "1")))
     assert recognize_unicyclic(g).m == 3
+
+
+def test_build_checks_vertices_after_they_become_strings():
+    g = build_multigraph(range(3), [(7, (0, 1)), (8, (1, 2)), (9, ("2", 0))])
+    assert g.vertices == ("0", "1", "2")
+    assert g.edge_ids() == ("7", "8", "9")
+    with pytest.raises(GraphValidationError, match="^duplicate vertex identifier '1'$"):
+        build_multigraph([1, "1"], [("e1", (1, "1"))])
 
 
 @pytest.mark.parametrize("ends", [("a", "b", "c"), ("a",), 7], ids=["three", "one", "int"])
@@ -293,6 +302,71 @@ def test_json_roundtrip(triangle):
 def test_json_rejects_duplicate_keys():
     with pytest.raises(SchemaError, match="duplicate key"):
         multigraph_from_json('{"vertices": ["a"], "vertices": ["b"], "edges": []}')
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ('{"vertices": ["a", "b"], "edges": [{"id": "e1", "id": "e2", "ends": ["a", "b"]}]}', "id"),
+        ('{"vertices": [], "edges": [], "edges": [], "vertices": []}', "edges"),
+        ('{"vertices": [], "edges": [], "vertices": [], "edges": []}', "vertices"),
+    ],
+    ids=["in-edge-record", "second-repeats-first", "first-repeats-first"],
+)
+def test_json_names_the_first_key_that_repeats(doc, key):
+    with pytest.raises(SchemaError, match=f"^duplicate key '{key}' in JSON object$"):
+        multigraph_from_json(doc)
+
+
+# documents with several defects, each with the one defect that is reported
+SEVERAL_DEFECTS = [
+    ({"vertices": ["a", 2], "edges": {}, "x": 1}, SchemaError, "unexpected key 'x'"),
+    ({"edges": {}, "x": 1}, SchemaError, "missing required key 'vertices'"),
+    (
+        {"vertices": ["a", "b"], "edges": [{"id": 1, "ends": ["a"], "x": 0}]},
+        SchemaError,
+        "edges[0] must have exactly the keys 'id' and 'ends'",
+    ),
+    ({"vertices": ["a", "b"], "edges": [{"id": 1, "ends": ["a"]}]}, SchemaError,
+     "edges[0].id must be a string"),
+    ({"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", 2, "b"]}]}, SchemaError,
+     "edges[0].ends must be an array of two vertex names"),
+    ({"vertices": ["a", "a"], "edges": []}, EmptyGraphError,
+     "edge list is empty; no spanning structure possible"),
+    ({"vertices": ["a", "b", "a"], "edges": [{"id": "e1", "ends": ["z", "z"]}]},
+     GraphValidationError, "duplicate vertex identifier 'a'"),
+    (
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]},
+                                           {"id": "e1", "ends": ["z", "z"]}]},
+        DuplicateEdgeIdError,
+        "duplicate edge id 'e1'",
+    ),
+    (
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]},
+                                           {"id": "e2", "ends": ["z", "z"]}]},
+        UnknownEndpointError,
+        "edge 'e2' names unknown vertex 'z'",
+    ),
+    (
+        {"vertices": ["a", "b", "c"], "edges": [{"id": "e1", "ends": ["a", "b"]},
+                                                {"id": "e2", "ends": ["b", "b"]}]},
+        LoopEdgeError,
+        "edge 'e2' is a loop on vertex 'b'",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,error,message", SEVERAL_DEFECTS)
+def test_json_reports_the_first_defect_in_check_order(doc, error, message):
+    with pytest.raises(error) as info:
+        multigraph_from_json(json.dumps(doc))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_json_roundtrip_on_suite(suite_graphs):
+    for g in suite_graphs:
+        assert multigraph_from_json(json.dumps(g.to_json_dict())) == g
 
 
 def test_json_rejects_syntax_error():
