@@ -13,7 +13,13 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 from .errors import NotUnicyclicError
-from .fvector import FVector, closed_form_terms, dimension, euler_characteristic
+from .fvector import (
+    FVector,
+    closed_form_tail,
+    dimension,
+    euler_characteristic,
+    f_vector_closed_form,
+)
 from .homology import BettiProfile, betti_from_faces, euler_from_betti, graded_faces
 from .ideal import (
     minimal_vertex_covers_closed_form,
@@ -246,10 +252,8 @@ def run_analyze(
         report.dim = dimension(layout)
         routes["count"]["closed_form"] = count_spanning_trees_layout(layout)
         routes["facets"]["closed_form"] = enumerate_spanning_trees_layout(layout)
-        # one closed-form pass: the f-vector, then the terms that must vanish
-        terms = closed_form_terms(layout)
-        fv = routes["f_vector"]["closed_form"] = FVector(tuple(terms[: report.dim + 1]))
-        tail = routes["tail"]["closed_form"] = tuple(terms[report.dim + 1 :])
+        fv = routes["f_vector"]["closed_form"] = f_vector_closed_form(layout)
+        tail = routes["tail"]["closed_form"] = tuple(closed_form_tail(layout))
         routes["tail"]["zero"] = (0,) * len(tail)
         routes["euler"]["closed_form"] = euler_characteristic(fv)
         routes["covers"]["closed_form"] = minimal_vertex_covers_closed_form(layout)

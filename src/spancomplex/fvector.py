@@ -8,26 +8,22 @@ enumeration (``homology.graded_faces(g).sizes()``), and the closed form
 here, over the uni-cyclic layout, built from binomial sums with
 inclusion-exclusion over the multiple classes.
 
-The closed form's double sums are evaluated in swapped order, with the
-outer loop over the summation index l and the inner loop over the
-dimension i.  Its binomials are not computed term by term: each column
-C(N - l, p - l), p running over the requested dimensions, follows from
-the column for l - 1 by Pascal's rule, with one ``math.comb`` at its
-top, and the column for l = 0 is walked by
-C(N, q+1) = C(N, q)(N - q)/(q + 1).  Each entry point evaluates only
-the dimensions it returns.
-
-The weights of both inclusion-exclusion blocks and their lifts do not
-depend on the dimension, so they are computed once per layout object
-(``_blocks``): ``f_vector_closed_form`` and then ``closed_form_tail`` on
-one layout lift the weights once, and each walks the binomial columns
-over its own range only.
+The closed form is one finite sum over i = 0..n-1, evaluated in one
+pass per layout (``_terms``, cached for the last layout): the terms up
+to the dimension are the f-vector, and the rest must vanish.
+``closed_form_terms``, ``f_vector_closed_form`` and ``closed_form_tail``
+are slices of that pass.  Its double sums are evaluated in swapped
+order, with the outer loop over the summation index l and the inner loop
+over the dimension i.  Its binomials are not computed term by term: each
+column C(N - l, p - l) follows from the column for l - 1 by Pascal's
+rule, with one ``math.comb`` at its top, and the column for l = 0 is
+walked by C(N, q+1) = C(N, q)(N - q)/(q + 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 from .multigraph import UnicyclicLayout
@@ -133,32 +129,15 @@ def _pascal_sums(base: int, coeffs: list[int], lo: int, hi: int) -> tuple[list[i
     return lead, sums
 
 
-_NO_LAYOUT = (lambda: None, None)
-# (weak reference to the last layout, its blocks); one slot, so nothing
-# is hashed and no layout is kept alive
-_last_blocks = _NO_LAYOUT
+@functools.lru_cache(maxsize=1)
+def _terms(layout: UnicyclicLayout) -> tuple[int, ...]:
+    """The closed-form face counts for every i = 0..n-1 (see ``closed_form_terms``).
 
-
-def _forget(ref) -> None:
-    global _last_blocks
-    if _last_blocks[0] is ref:
-        _last_blocks = _NO_LAYOUT
-
-
-def _blocks(layout: UnicyclicLayout) -> tuple[int, int, list[int], list[int]]:
-    """The dimension-free parts of the closed form: the cycle choices, N0
-    and the lifted weights of both blocks (see ``closed_form_terms``).
-
-    Memoised for the last layout passed in, matched by identity, never by
-    equality; the slot empties when that layout is freed.  The slot is
-    read and replaced whole, so concurrent callers can only evict each
-    other's blocks, never read another layout's.
+    Cached for the last layout, keyed by its value: the terms depend only
+    on its classes, so an equal layout shares the entry.  A tuple, so no
+    caller can change the cached value.
     """
-    global _last_blocks
-    ref, blocks = _last_blocks
-    if ref() is layout:
-        return blocks
-    alpha, beta = layout.alpha, layout.beta
+    n, m, alpha, beta = layout.n, layout.m, layout.alpha, layout.beta
     ab = alpha + beta
 
     cyc_sizes = [c.size for c in layout.multiple_cycle_classes]
@@ -170,69 +149,52 @@ def _blocks(layout: UnicyclicLayout) -> tuple[int, int, list[int], list[int]]:
     cycle_choices = math.prod(cyc_sizes)
 
     # subsets containing the full cycle but no doubled class: N0 edges remain
-    n0 = layout.n - alpha + layout.r_prime - layout.m
+    n0 = n - alpha + layout.r_prime - m
     c_out = _lift([b - e for b, e in zip(_column(beta, 0, beta + 1), e_out)], beta)
     # subsets containing at least two copies from some class
     c_all = _lift([b - e for b, e in zip(_column(ab, 0, ab + 1), e_all)], ab)
 
-    blocks = (cycle_choices, n0, c_out, c_all)
-    _last_blocks = (weakref.ref(layout, _forget), blocks)
-    return blocks
-
-
-def _terms(layout: UnicyclicLayout, start: int, stop: int) -> list[int]:
-    """The closed-form face counts for i = start..stop-1 (see ``closed_form_terms``)."""
-    cycle_choices, n0, c_out, c_all = _blocks(layout)
-    m = layout.m
     # a term of dimension i counts subsets of p = i+1 edges, k = p-m off the cycle
-    every, doubled = _pascal_sums(layout.n, c_all, start + 1, stop + 1)
-    free, excess = _pascal_sums(n0, c_out, start + 1 - m, stop + 1 - m)
-    return [
+    every, doubled = _pascal_sums(n, c_all, 1, n + 1)
+    free, excess = _pascal_sums(n0, c_out, 1 - m, n + 1 - m)
+    return tuple(
         total - cycle_choices * (bracket - minus) - dbl
         for total, bracket, minus, dbl in zip(every, free, excess, doubled)
-    ]
+    )
 
 
 def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
-    """Closed-form face counts for every i = 0..n-1, in one pass.
+    """Closed-form face counts for every i = 0..n-1.
 
     Each term starts from C(n, i+1) and subtracts, by inclusion-exclusion
     over the multiple classes, the subsets that contain the cycle or at
     least two copies from one parallel class.  The paper writes each
     block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
     here the j and l sums are swapped, so the weights w_j and their lift
-    to coefficients c_l (``_lift``) are computed once per layout object
-    (``_blocks``), whichever entry point asks first.  Then the
-    l and i loops are swapped too: the outer loop over l walks the
-    binomial column C(N-l, k-l) over all requested k by Pascal's rule
-    (``_pascal_sums``), so a call makes one ``math.comb`` per column, not
-    one per (i, l) pair; each call walks the columns again, over its own
-    range of i only.  This is the same finite sum reordered, with no
-    binomial identity applied beyond the recurrences that produce its
-    binomials.  Empty sums are 0, empty products 1, and out-of-range
-    binomials vanish, so degenerate layouts collapse correctly.  Terms
-    beyond the dimension must all be 0.
+    to coefficients c_l (``_lift``) do not depend on i.  Then the l and i
+    loops are swapped too: the outer loop over l walks the binomial
+    column C(N-l, k-l) over every k by Pascal's rule (``_pascal_sums``),
+    so a pass makes one ``math.comb`` per column, not one per (i, l)
+    pair.  This is the same finite sum reordered, with no binomial
+    identity applied beyond the recurrences that produce its binomials.
+    Empty sums are 0, empty products 1, and out-of-range binomials
+    vanish, so degenerate layouts collapse correctly.  Terms beyond the
+    dimension must all be 0.
     """
-    return _terms(layout, 0, layout.n)
+    return list(_terms(layout))
 
 
 def f_vector_closed_form(layout: UnicyclicLayout) -> FVector:
-    """Closed-form f-vector: the terms for i = 0..dim, and no others.
-
-    The lifted weights are shared with a ``closed_form_tail`` call on the
-    same layout object; the columns are walked for i = 0..dim only.
-    """
-    return FVector(tuple(_terms(layout, 0, dimension(layout) + 1)))
+    """Closed-form f-vector: the terms for i = 0..dim of the cached pass."""
+    return FVector(_terms(layout)[: dimension(layout) + 1])
 
 
 def closed_form_tail(layout: UnicyclicLayout) -> list[int]:
-    """Closed-form terms beyond the dimension, i = d+1..n-1, and no others.
+    """Closed-form terms beyond the dimension, i = d+1..n-1, of the cached pass.
 
     All must vanish; the verification harness flags any nonzero value.
-    The lifted weights are shared with an ``f_vector_closed_form`` call on
-    the same layout object; the columns are walked for i = d+1..n-1 only.
     """
-    return _terms(layout, dimension(layout) + 1, layout.n)
+    return list(_terms(layout)[dimension(layout) + 1 :])
 
 
 def euler_characteristic(f: FVector) -> int:

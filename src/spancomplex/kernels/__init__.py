@@ -18,8 +18,7 @@ as its cycle.
 every enumeration stage by its edge count, and nothing sets it.  A
 pendant edge doubles the faces to list, so larger graphs take the closed
 forms alone (``analyze --no-oracle``).  A tree mask is an int of any
-width, but ``_grow`` recurses once per core edge, so a core longer than the
-recursion limit raises ``RecursionError``; ``forest_grades`` checks the budget.
+width; ``forest_grades`` checks the budget.
 
 ``_flood`` is the one connectivity test, for ``build_multigraph``,
 ``spanning_tree_masks`` and the bonds in ``ideal``.  The last two build
@@ -136,46 +135,50 @@ def spanning_tree_masks(us, vs, n_vertices):
     Only spanning trees are visited, not every forest (Read & Tarjan,
     "Bounds on backtrack algorithms for listing cycles, paths, and
     spanning trees", 1975).
+
+    A branch (i, mask, need) adds ``need`` core edges >= i to the forest
+    ``mask``, which with the edges >= i spans the graph, so every branch
+    yields a tree.  Edge i is taken only if it joins two components of
+    ``mask`` (union-find with rollback, as in ``_walk``), and left out
+    only if it is not a bridge of ``mask`` plus the edges after i.  An
+    explicit stack, as in ``bridge_mask``, so a long core needs no deep
+    recursion: the undo entry under a branch that takes edge i splits the
+    union again before edge i is left out.
     """
     nbrs = _neighbour_masks(n_vertices, us, vs, removed=())
     if _flood(nbrs, 1, -1) != (1 << n_vertices) - 1:
         return []
     bridges = bridge_mask(us, vs, n_vertices)
     core, cus, cvs, k = contract_bridges(us, vs, n_vertices, bridges)
-    out = []
     bits = [1 << e for e in core]
-    _grow(0, bridges, k - 1, bits, cus, cvs, list(range(k)), out)
+    parent = list(range(k))
+    out = []
+    # (i, mask, need, ru, rv); ru >= 0 marks the undo entry of the union ru -> rv
+    stack = [(0, bridges, k - 1, -1, -1)]
+    while stack:
+        i, mask, need, ru, rv = stack.pop()
+        if ru >= 0:
+            parent[ru] = ru
+            comp = _suffix_components(parent, cus, cvs, i + 1)
+            # a bridge of what is left is in every tree here: no branch leaves it out
+            if _root(comp, ru) == _root(comp, rv):
+                stack.append((i + 1, mask, need, -1, -1))
+        elif need == 0:
+            out.append(mask)
+        else:
+            ru = cus[i]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            rv = cvs[i]
+            while parent[rv] != rv:
+                rv = parent[rv]
+            if ru == rv:
+                stack.append((i + 1, mask, need, -1, -1))
+            else:
+                parent[ru] = rv
+                stack.append((i, mask, need, ru, rv))
+                stack.append((i + 1, mask | bits[i], need - 1, -1, -1))
     return out
-
-
-def _grow(i, mask, need, bits, us, vs, parent, out):
-    """Append every spanning tree that adds ``need`` edges >= i to ``mask``.
-
-    Edge i joins ``us[i]`` and ``vs[i]`` and is the bit ``bits[i]`` of a
-    mask.  Invariant: ``mask`` is a forest, and ``mask`` plus the edges
-    >= i span the graph, so every call appends at least one tree.  Edge i
-    is taken only if it joins two components of ``mask`` (union-find with
-    rollback, as in ``_walk``), and left out only if it is not a bridge
-    of ``mask`` plus the edges after i.  A module-level function, not a
-    closure, so no reference cycle keeps ``out`` alive after the call.
-    """
-    if need == 0:
-        out.append(mask)
-        return
-    ru = us[i]
-    while parent[ru] != ru:
-        ru = parent[ru]
-    rv = vs[i]
-    while parent[rv] != rv:
-        rv = parent[rv]
-    if ru != rv:
-        parent[ru] = rv
-        _grow(i + 1, mask | bits[i], need - 1, bits, us, vs, parent, out)
-        parent[ru] = ru
-        comp = _suffix_components(parent, us, vs, i + 1)
-        if _root(comp, ru) != _root(comp, rv):
-            return  # edge i is a bridge of what is left: every tree here uses it
-    _grow(i + 1, mask, need, bits, us, vs, parent, out)
 
 
 def bridge_mask(us, vs, n_vertices):

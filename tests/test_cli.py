@@ -8,6 +8,7 @@ import pytest
 from spancomplex import analysis, cli, kernels
 from spancomplex.cli import main, parse_graph_file
 from spancomplex.errors import SchemaError
+from spancomplex.fvector import FVector
 from spancomplex.multigraph import multigraph_from_json
 from spancomplex.randomgraphs import random_suite
 
@@ -238,19 +239,6 @@ def test_homology_dump_matrices_keeps_json_stdout(capsys, tmp_path):
     assert err == "".join(f"wrote {tmp_path / f'boundary_{i}.txt'}\n" for i in (1, 2))
 
 
-def test_homology_dump_matrices_repeatable(capsys, tmp_path):
-    # 18 edges, 42559 faces: the largest boundary map has 8925 x 10452 cells
-    path = tmp_path / "pendants.json"
-    path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
-    dumps = []
-    for run in ("a", "b"):
-        code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(tmp_path / run))
-        assert code == 0
-        dumps.append({f.name: f.read_bytes() for f in (tmp_path / run).iterdir()})
-    assert sorted(dumps[0]) == sorted(f"boundary_{i}.txt" for i in range(1, 11))
-    assert dumps[0] == dumps[1]
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -334,14 +322,18 @@ PENDANTS_DUMP_SHA256 = [
 
 
 def test_pendants_dump_matches_golden_bytes(capsys, tmp_path):
+    # 18 edges, 42559 faces; two runs, so the dump is also repeatable
     path = tmp_path / "pendants.json"
     path.write_text(json.dumps(make_doubled_six_cycle(SIX_PENDANTS).to_json_dict()))
-    outdir = tmp_path / "mats"
-    code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(outdir))
-    assert code == 0
-    assert len(list(outdir.iterdir())) == len(PENDANTS_DUMP_SHA256)
-    digests = [_sha256((outdir / f"boundary_{i}.txt").read_bytes()) for i in range(1, 11)]
-    assert digests == PENDANTS_DUMP_SHA256
+    for run in ("a", "b"):
+        outdir = tmp_path / run
+        code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(outdir))
+        assert code == 0
+        assert sorted(f.name for f in outdir.iterdir()) == sorted(
+            f"boundary_{i}.txt" for i in range(1, 11)
+        )
+        digests = [_sha256((outdir / f"boundary_{i}.txt").read_bytes()) for i in range(1, 11)]
+        assert digests == PENDANTS_DUMP_SHA256, run
 
 
 # the report without the oracle routes, and the report of a graph that is not
@@ -403,15 +395,15 @@ def _last_plus_one(route):
 
 def _first_two_plus_one(route):
     # f_0 and f_1 up by one each: the Euler characteristic stays the same
-    return lambda *args: [(terms := route(*args))[0] + 1, terms[1] + 1] + terms[2:]
+    return lambda *args: FVector(((f := route(*args).counts)[0] + 1, f[1] + 1) + f[2:])
 
 
 # one wrong route in the analysis, and the one check that must catch it
 PLANTS = [
     ("enumerate_spanning_trees_layout", _drop_last, "facets:closed-form-vs-generic"),
     ("count_spanning_trees_layout", _plus_one, "count:closed-form-vs-enumeration"),
-    ("closed_form_terms", _last_plus_one, "fvector:tail-zero"),
-    ("closed_form_terms", _first_two_plus_one, "fvector:closed-form-vs-bruteforce"),
+    ("closed_form_tail", _last_plus_one, "fvector:tail-zero"),
+    ("f_vector_closed_form", _first_two_plus_one, "fvector:closed-form-vs-bruteforce"),
     ("minimal_vertex_covers_closed_form", _drop_last, "covers:closed-form-vs-generic"),
     ("euler_from_betti", _plus_one, "euler:all-routes-agree"),
 ]
@@ -710,7 +702,7 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(layout):
         raise RuntimeError("stage broke")
 
-    monkeypatch.setattr(analysis, "closed_form_terms", broken)
+    monkeypatch.setattr(analysis, "f_vector_closed_form", broken)
     code, out, err = run_cli(capsys, "analyze", FIG1, "--json")
     assert code == 4
     assert out == ""

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from spancomplex import (
     f_vector_closed_form,
     graded_faces,
     recognize_unicyclic,
+    run_analyze,
 )
 from spancomplex import fvector, kernels
 from spancomplex.fvector import (
@@ -212,7 +212,7 @@ def test_swapped_sums_equal_paper_order_on_suite(suite_graphs):
 
 
 def assert_split_equals_terms(lay):
-    """The f-vector and the tail, each evaluated on its own range, are all the terms."""
+    """The f-vector and the tail together are all the terms."""
     split = list(f_vector_closed_form(lay).counts) + closed_form_tail(lay)
     assert split == closed_form_terms(lay)
     assert split == [_paper_term_literal(lay, i) for i in range(lay.n)]
@@ -235,12 +235,14 @@ def test_closed_form_makes_one_fresh_binomial_per_column(monkeypatch):
         return comb(a, b)
 
     monkeypatch.setattr(fvector.math, "comb", counting)
+    fvector._terms.cache_clear()
     assert closed_form_terms(lay) == expected
     # O(alpha + beta) columns; one math.comb per (i, l) pair would be ~45,000
     assert 0 < len(calls) <= 2 * (lay.alpha + lay.beta + 2)
 
 
-def test_entry_points_lift_the_weights_once_per_layout(monkeypatch):
+def _count_lifts(monkeypatch):
+    """Record the ``top`` of every ``fvector._lift`` call, from an empty cache."""
     calls = []
     lift = fvector._lift
 
@@ -249,6 +251,12 @@ def test_entry_points_lift_the_weights_once_per_layout(monkeypatch):
         return lift(weights, top)
 
     monkeypatch.setattr(fvector, "_lift", counting)
+    fvector._terms.cache_clear()
+    return calls
+
+
+def test_entry_points_lift_the_weights_once_per_layout(monkeypatch):
+    calls = _count_lifts(monkeypatch)
     g = layout_graph([3, 2, 1, 1], (2, 3), 2)
     a, b = recognize_unicyclic(g), recognize_unicyclic(layout_graph([2, 4, 1], (5,), 1))
     f_vector_closed_form(a)
@@ -256,23 +264,32 @@ def test_entry_points_lift_the_weights_once_per_layout(monkeypatch):
     # one lift per inclusion-exclusion block, not one per block and call
     assert calls == [a.beta, a.alpha + a.beta]
 
-    # alternating layouts never read the other layout's blocks
+    # alternating layouts never read the other layout's terms
     for layout in (a, b, a):
         split = list(f_vector_closed_form(layout).counts) + closed_form_tail(layout)
         assert split == [_paper_term_literal(layout, i) for i in range(layout.n)]
     assert len(calls) == 6
 
-    # an equal layout is another object, and lifts its own weights
-    again = recognize_unicyclic(g)
-    assert again == a and again is not a
-    closed_form_tail(again)
-    assert len(calls) == 8
 
-    # the memo keeps no layout alive, and drops its blocks with the layout
-    ref = weakref.ref(again)
-    del again, layout
-    assert ref() is None
-    assert fvector._last_blocks[1] is None
+def test_run_analyze_lifts_the_weights_once_per_block(monkeypatch):
+    calls = _count_lifts(monkeypatch)
+    g = layout_graph([3, 2, 1, 1], (2, 3), 2)
+    lay = recognize_unicyclic(g)
+    run_analyze(g)
+    assert calls == [lay.beta, lay.alpha + lay.beta]
+
+
+def test_returned_terms_do_not_change_the_cached_pass():
+    lay = recognize_unicyclic(layout_graph([3, 2, 1], (2,), 3))
+    expected = [_paper_term_literal(lay, i) for i in range(lay.n)]
+    dim = dimension(lay)
+    for entry_point in (closed_form_terms, closed_form_tail):
+        got = entry_point(lay)
+        got[0] += 1
+        got.append(7)
+    assert closed_form_terms(lay) == expected
+    assert closed_form_tail(lay) == expected[dim + 1 :]
+    assert f_vector_closed_form(lay).counts == tuple(expected[: dim + 1])
 
 
 def test_concurrent_callers_read_only_their_own_layouts_blocks():

@@ -1,5 +1,7 @@
 import gc
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -157,36 +159,43 @@ def test_spanning_tree_masks_list_a_70_cycle():
 
 
 @pytest.mark.parametrize(
-    "g,n_trees,max_grow,max_suffix",
+    "g,n_trees,max_suffix",
     [
         # a triangle with 17 pendant edges
-        (layout_graph([1, 1, 1], (), 17), 3, 8, 6),
+        (layout_graph([1, 1, 1], (), 17), 3, 6),
         # a doubled 6-cycle with a pendant edge at each vertex
-        (make_doubled_six_cycle(SIX_PENDANTS), 192, 576, 321),
+        (make_doubled_six_cycle(SIX_PENDANTS), 192, 321),
     ],
     ids=["triangle-17-pendants", "doubled-six-cycle-6-pendants"],
 )
-def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, max_grow, max_suffix):
-    # branching on the bridges too costs 60 and 1888 _grow calls, with 57
-    # and 1473 suffix union-finds
-    calls = {kernels._grow: 0, kernels._suffix_components: 0}
+def test_spanning_tree_masks_branch_only_on_the_core(monkeypatch, g, n_trees, max_suffix):
+    # branching on the bridges too costs 57 and 1473 suffix union-finds
+    suffix = kernels._suffix_components
+    calls = []
 
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn] += 1
-            return fn(*args)
+    def counted(*args):
+        calls.append(args)
+        return suffix(*args)
 
-        return wrapper
-
-    for fn in list(calls):
-        monkeypatch.setattr(kernels, fn.__name__, counted(fn))
+    monkeypatch.setattr(kernels, "_suffix_components", counted)
     us, vs = edge_endpoint_indices(g)
     masks = kernels.spanning_tree_masks(us, vs, g.n_vertices)
     assert len(set(masks)) == n_trees
     assert all(m.bit_count() == g.n_vertices - 1 for m in masks)
-    grow, suffix = calls.values()
-    assert grow <= max_grow
-    assert suffix <= max_suffix
+    assert len(calls) <= max_suffix
+
+
+def test_spanning_tree_masks_need_no_recursion_per_core_edge():
+    # a core far longer than the recursion limit allows frames for
+    n = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        masks = kernels.spanning_tree_masks(list(range(n)), [(i + 1) % n for i in range(n)], n)
+    finally:
+        sys.setrecursionlimit(limit)
+    full = (1 << n) - 1
+    assert sorted(masks) == sorted(full ^ (1 << i) for i in range(n))
 
 
 def _path(n):
