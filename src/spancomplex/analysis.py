@@ -10,7 +10,7 @@ routes always run when the graph fits ``kernels.EDGE_BUDGET``.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import NotUnicyclicError
 from .fvector import (
@@ -27,7 +27,7 @@ from .ideal import (
     render_decomposition,
 )
 from .kernels import EDGE_BUDGET, require_budget
-from .multigraph import Multigraph, UnicyclicLayout, recognize_unicyclic
+from .multigraph import Multigraph, ParallelClass, UnicyclicLayout, recognize_unicyclic
 from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
 
 EdgeSets = list[tuple[str, ...]]
@@ -46,6 +46,16 @@ CHECKS = {
 
 # the text report's name for each route it prints
 LABELS = {"closed_form": "closed form", "bruteforce": "brute force", "betti": "betti"}
+
+# the layout's derived scalars in declaration order, the order both reports
+# list them in, each with its text label (r_dprime is r''); then the class
+# tuples it derives them from
+SCALARS = {
+    f.name: f.name.replace("_dprime", "''").replace("_prime", "'")
+    for f in fields(UnicyclicLayout)
+    if not f.init
+}
+CLASS_TUPLES = tuple(f.name for f in fields(UnicyclicLayout) if f.init)
 
 
 @dataclass(frozen=True)
@@ -92,26 +102,12 @@ class AnalysisReport:
         layout = None
         if self.layout is not None:
             lay = self.layout
-            layout = {
-                "n": lay.n,
-                "m": lay.m,
-                "r_prime": lay.r_prime,
-                "r_dprime": lay.r_dprime,
-                "r": lay.r,
-                "alpha": lay.alpha,
-                "beta": lay.beta,
-                "v": lay.v,
-                "cycle_classes": [
-                    {"endpoints": list(c.endpoints), "members": list(c.members)}
-                    for c in lay.cycle_classes
-                ],
-                "outside_multiple_classes": [
-                    {"endpoints": list(c.endpoints), "members": list(c.members)}
-                    for c in lay.outside_multiple_classes
-                ],
-                "outside_single_edges": list(lay.outside_single_edges),
-                "canonical_labels": lay.canonical_labels(),
-            }
+            layout = {name: getattr(lay, name) for name in SCALARS}
+            for name in CLASS_TUPLES:
+                layout[name] = [
+                    dict(vars(c)) if isinstance(c, ParallelClass) else c for c in getattr(lay, name)
+                ]
+            layout["canonical_labels"] = lay.canonical_labels()
         count, f, euler = self.routes["count"], self.routes["f_vector"], self.routes["euler"]
         return {
             "schema": "spancomplex/analysis-v2",
@@ -156,11 +152,8 @@ class AnalysisReport:
         lines.append(f"graph: {src} (fingerprint {self.fingerprint})")
         lines.append(f"vertices: {self.n_vertices}  edges: {self.n_edges}")
         if self.layout is not None:
-            lay = self.layout
-            lines.append(
-                f"unicyclic layout: n={lay.n} m={lay.m} r'={lay.r_prime} "
-                f"r''={lay.r_dprime} r={lay.r} alpha={lay.alpha} beta={lay.beta} v={lay.v}"
-            )
+            scalars = (f"{label}={getattr(self.layout, name)}" for name, label in SCALARS.items())
+            lines.append("unicyclic layout: " + " ".join(scalars))
         if self.layout_note:
             lines.append(f"note: {self.layout_note}")
         if self.dim is not None:

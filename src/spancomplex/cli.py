@@ -37,13 +37,6 @@ from .randomgraphs import random_suite
 from .spanning import enumerate_spanning_trees_generic
 
 
-def parse_graph_file(path: str) -> Multigraph:
-    """Load and validate a graph file, with readable diagnostics."""
-    if not Path(path).exists():
-        raise SchemaError(f"no such file: {path}")
-    return load_graph_file(path)
-
-
 def _emit_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
@@ -55,7 +48,7 @@ def _emit_discrepancies(discrepancies) -> None:
 
 
 def cmd_analyze(args) -> int:
-    g = parse_graph_file(args.path)
+    g = load_graph_file(args.path)
     report = run_analyze(g, no_oracle=args.no_oracle, path=args.path)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -66,7 +59,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    discrepancies = run_verify(parse_graph_file(args.path))
+    discrepancies = run_verify(load_graph_file(args.path))
     if discrepancies:
         sys.stdout.write(f"verify: FAIL ({len(discrepancies)} discrepancies)\n")
     else:
@@ -76,7 +69,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    g = parse_graph_file(args.path)
+    g = load_graph_file(args.path)
     require_budget(g.n_edges, "spanning tree enumeration")
     facets = enumerate_spanning_trees_generic(g)
     if args.json:
@@ -88,7 +81,7 @@ def cmd_facets(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    g = parse_graph_file(args.path)
+    g = load_graph_file(args.path)
     require_budget(g.n_edges, "spanning tree enumeration")
     covers = minimal_vertex_covers_generic(g)
     if args.json:
@@ -103,7 +96,7 @@ def cmd_covers(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    g = parse_graph_file(args.path)
+    g = load_graph_file(args.path)
     if args.dump_matrices:
         # a uni-cyclic graph's dump follows its canonical labels, not the file's order
         with contextlib.suppress(NotUnicyclicError):
@@ -244,6 +237,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (SchemaError, GraphValidationError, NotUnicyclicError, OSError) as exc:
+        missing = isinstance(exc, (FileNotFoundError, NotADirectoryError))
+        if missing and exc.filename == getattr(args, "path", None):
+            # the graph file is opened once, with no existence check first
+            exc = f"no such file: {exc.filename}"
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a bug, not a discrepancy: exit 1 stays reserved for those

@@ -98,6 +98,8 @@ class UnicyclicLayout:
     only constructor fields: n counts every class member plus the single
     edges, alpha the members of the cycle's multiple classes, beta those
     of the outside ones, and r = r' + r'', so n = alpha + (m - r') + beta + v.
+    Their declaration order is the order in which ``analyze`` reports them,
+    in JSON and in text, before the class tuples.
     """
 
     cycle_classes: tuple[ParallelClass, ...]

@@ -3,9 +3,12 @@
 Two independent routes produce the facet set of the spanning simplicial
 complex: a closed form over the canonical uni-cyclic layout, and a
 generic backtracking enumeration of the spanning trees of any connected
-multigraph, which uses no layout information.  Their agreement is a core
-verification invariant of this package.  Both list their trees
-through ``multigraph.edge_sets``.
+multigraph, which uses no layout information.  Both list their trees
+through ``multigraph.edge_sets``.  The backtracking route backs the
+``facets`` and ``covers --json`` commands; ``analyze`` and ``verify``
+read their oracle facets off the top grade of ``homology.graded_faces``
+instead, so only the tests compare the backtracking route with the
+closed form.
 """
 
 from __future__ import annotations

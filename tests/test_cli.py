@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 from spancomplex import analysis, cli, kernels
-from spancomplex.cli import main, parse_graph_file
-from spancomplex.errors import SchemaError
+from spancomplex.cli import main
 from spancomplex.fvector import FVector
-from spancomplex.multigraph import multigraph_from_json
+from spancomplex.multigraph import load_graph_file, multigraph_from_json
 from spancomplex.randomgraphs import random_suite
 
 from conftest import FIXTURES, SIX_PENDANTS, layout_graph, make_doubled_six_cycle
@@ -27,14 +26,19 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_graph_file_fig1():
-    g = parse_graph_file(FIG1)
+    g = load_graph_file(FIG1)
     assert g.n_edges == 7
     assert g.edge_ids()[:3] == ("e11", "e12", "e13")
 
 
-def test_parse_graph_file_missing():
-    with pytest.raises(SchemaError, match="no such file"):
-        parse_graph_file("/nonexistent/file.json")
+def test_parse_graph_file_missing(capsys):
+    # a missing file, or a path that runs through a file, is an input error
+    for command in ("analyze", "verify", "facets", "covers", "homology"):
+        for path in ("/nonexistent/file.json", TRIANGLE + "/x.json"):
+            assert run_cli(capsys, command, path) == (2, "", f"error: no such file: {path}\n")
+    # the library raises the OS error itself
+    with pytest.raises(FileNotFoundError):
+        load_graph_file("/nonexistent/file.json")
 
 
 def test_parse_graph_file_duplicate_id(tmp_path):
@@ -422,7 +426,7 @@ def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
     assert (code, out) == (1, "verify: FAIL (1 discrepancies)\n")
     [record] = json.loads(err)
     assert record["check"] == check
-    assert record["fingerprint"] == parse_graph_file(FIG1).fingerprint()
+    assert record["fingerprint"] == load_graph_file(FIG1).fingerprint()
     # counts are decimal strings, like every count in the report
     values = _leaves([record["expected"], record["actual"]])
     assert values and all(isinstance(v, str) for v in values)

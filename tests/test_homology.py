@@ -1,7 +1,9 @@
 import tracemalloc
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spancomplex import (
     betti_numbers,
@@ -25,6 +27,7 @@ from conftest import (
     make_doubled_six_cycle,
     make_fig1,
     make_theta,
+    unicyclic_multigraphs,
 )
 
 
@@ -231,6 +234,24 @@ def test_betti_of_matroid_complexes_beyond_dense_reach(g):
     ranks = profile.boundary_ranks + (0,)
     for i in range(d + 1):
         assert ranks[i] + ranks[i + 1] == sizes[i] - expected[i]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    cycle_sizes=st.lists(st.integers(1, 3), min_size=3, max_size=6),
+    outside_sizes=st.lists(st.integers(2, 3), max_size=3),
+    data=st.data(),
+)
+def test_betti_numbers_of_layouts_that_are_not_cones(cycle_sizes, outside_sizes, data):
+    # every outside class has two edges or more, so no edge is a coloop and
+    # the complex is no cone: its top homology has rank T_M(0, 1), a product
+    # over the cycle and each outside class (Bjorner 1992; Brylawski & Oxley 1992)
+    assume(sum(cycle_sizes) + sum(outside_sizes) <= 14)
+    g = data.draw(unicyclic_multigraphs(cycle_sizes, outside_sizes))
+    cycle = prod(cycle_sizes) - prod(s - 1 for s in cycle_sizes)
+    top = prod(s - 1 for s in outside_sizes) * cycle
+    d = g.n_vertices - 2
+    assert betti_numbers(g).ranks == (1,) + (0,) * (d - 1) + (top,)
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,7 @@ def test_generic_property_on_any_connected_multigraph(g):
     facets = enumerate_spanning_trees_generic(g)
     assert as_sets(facets) == bruteforce.spanning_trees(g)
     assert facets == sorted(set(facets))
+    assert bruteforce.kirchhoff_count(g) == len(facets)
 
 
 def sizes_within(sizes, budget):
@@ -207,6 +208,18 @@ def test_closed_form_lists_equal_oracles(cycle_sizes, outside_sizes, data):
     assert facets == enumerate_spanning_trees_generic(g)
     assert len(facets) == count_spanning_trees_layout(lay)
     assert minimal_vertex_covers_closed_form(lay) == minimal_vertex_covers_generic(g)
+
+
+@pytest.mark.parametrize(
+    "cycle_sizes, pendants, count",
+    [([1] * 2000, 0, 2000), ([3] * 2000, 0, 2000 * 3**1999), ([2, 2, 2], 5000, 12)],
+    ids=["simple-2000-cycle", "fat-2000-cycle", "doubles-5000-pendants"],
+)
+def test_count_far_past_the_enumeration_budget(cycle_sizes, pendants, count):
+    # the matrix-tree theorem reads neither the layout nor any tree list
+    g = layout_graph(cycle_sizes, pendants=pendants)
+    lay = recognize_unicyclic(g)
+    assert count_spanning_trees_layout(lay) == bruteforce.kirchhoff_count(g) == count
 
 
 def test_closed_form_lists_past_the_enumeration_budget():
