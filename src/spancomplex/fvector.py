@@ -140,8 +140,8 @@ def _terms(layout: UnicyclicLayout) -> tuple[int, ...]:
     n, m, alpha, beta = layout.n, layout.m, layout.alpha, layout.beta
     ab = alpha + beta
 
-    cyc_sizes = [c.size for c in layout.multiple_cycle_classes]
-    out_sizes = [c.size for c in layout.outside_multiple_classes]
+    cyc_sizes = [len(c.members) for c in layout.multiple_cycle_classes]
+    out_sizes = [len(c.members) for c in layout.outside_multiple_classes]
     e_out = _elementary_symmetric(out_sizes)
     e_all = _elementary_symmetric(cyc_sizes + out_sizes)
     e_out += [0] * (beta + 1 - len(e_out))

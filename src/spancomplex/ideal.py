@@ -2,14 +2,16 @@
 
 Vertices of the complex are the edges of the multigraph, so a vertex
 cover is an edge set meeting every spanning tree, which is one whose
-deletion disconnects the graph: the minimal covers are its bonds.  Each
-bridge is a bond on its own and lies in no other bond, so the generic
-route takes the bridges from one depth-first search
-(``kernels.bridge_mask``), contracts them, and walks the bonds of what
-is left; the walk and the re-check of every cover on the graph test
-connectivity with ``kernels._flood``.  Both routes list covers, like
-facets, through ``multigraph.edge_sets``.  The facet ideal has
-one squarefree generator per facet and one minimal prime per minimal
+deletion disconnects the graph: the minimal covers are its bonds.  A
+bond holds every member of a parallel class or none, so the generic
+route works on the class quotient (``kernels._quotient``).  Each class
+whose arc is a bridge of the quotient is a bond on its own and lies in
+no other bond; the route contracts those arcs and walks the bonds of
+what is left.  One component count certifies all the bridge classes at
+once, and each other bond is re-checked on the graph; the walk and both
+checks test connectivity with ``kernels._flood``.  Both routes list
+covers, like facets, through ``multigraph.edge_sets``.  The facet ideal
+has one squarefree generator per facet and one minimal prime per minimal
 cover, so its generators are the spanning tree list and its primary
 decomposition is the cover list; ``render_decomposition`` writes the
 latter as an intersection of primes.
@@ -30,27 +32,34 @@ def render_decomposition(covers) -> str:
 
 def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
     """The minimal vertex covers of the complex: the bonds of ``g``, the
-    cuts δ(S) with S and V∖S both connected, each re-verified on ``g``.
+    cuts δ(S) with S and V∖S both connected, each certified on ``g``.
 
-    A bridge is a bond on its own.  The other bonds are those of ``g``
-    with its bridges contracted, the core, whose every edge lies on a
-    cycle.  On the core, S holds the first vertex; a neighbour of S is
-    added to it or excluded for good (Tsukiyama, Shirakawa, Ozaki &
-    Ariyoshi, JACM 1980).  A branch is kept only while every excluded
-    vertex lies in one component of G − S.  One branch always passes, and
-    a node with no neighbour left to decide is a bond, so the work is
-    O(V·E) per bond.
+    Parallel edges fall on the same side of every cut, so the bonds are
+    walked on the class quotient (``kernels._quotient``), and a cut holds
+    every member of each arc it crosses.  A class whose arc is a bridge
+    of the quotient is a bond on its own; the other bonds are those of
+    the quotient with its bridge arcs contracted, the core, whose every
+    arc lies on a cycle.  On the core, S holds the first vertex; a
+    neighbour of S is added to it or excluded for good (Tsukiyama,
+    Shirakawa, Ozaki & Ariyoshi, JACM 1980).  A branch is kept only
+    while every excluded vertex lies in one component of G − S.  One
+    branch always passes, and a node with no neighbour left to decide is
+    a bond, so the work is O(V·E) per bond.  The bridge classes are
+    certified together (``_assert_bridge_classes``) and every core bond
+    on its own (``_assert_bond``).
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
-    bridges = kernels.bridge_mask(us, vs, g.n_vertices)
-    core, cus, cvs, k = kernels.contract_bridges(us, vs, g.n_vertices, bridges)
-    cuts = [[e] for e in range(g.n_edges) if bridges >> e & 1]
+    aus, avs, members, bridges = kernels._quotient(us, vs, g.n_vertices)
+    edges = [[b.bit_length() - 1 for b in bits] for bits in members]
+    classes = [edges[a] for a in range(len(edges)) if bridges >> a & 1]
+    core, cus, cvs, k = kernels.contract_bridges(aus, avs, g.n_vertices, bridges)
     nbrs = kernels._neighbour_masks(k, cus, cvs, removed=())
 
     def one_component(s: int, excluded: int) -> bool:
         return not excluded & ~kernels._flood(nbrs, excluded & -excluded, ~s)
 
+    cuts = []
     stack = [(1, nbrs[0], 0)]  # (S, its neighbours, excluded), as vertex masks
     while stack:
         s, reach, excluded = stack.pop()
@@ -62,10 +71,39 @@ def minimal_vertex_covers_generic(g: Multigraph) -> list[tuple[str, ...]]:
             if one_component(s | u, excluded):
                 stack.append((s | u, reach | nbrs[u.bit_length() - 1], excluded))
         elif excluded:
-            cuts.append([e for e, a, b in zip(core, cus, cvs) if (s >> a ^ s >> b) & 1])
+            cuts.append(
+                [e for a, x, y in zip(core, cus, cvs) if (s >> x ^ s >> y) & 1 for e in edges[a]]
+            )
+    _assert_bridge_classes(g.n_vertices, us, vs, classes, ids)
     for cut in cuts:
         _assert_bond(g.n_vertices, us, vs, cut, ids)
-    return edge_sets([ids[e] for e in cut] for cut in cuts)
+    return edge_sets([ids[e] for e in cut] for cut in classes + cuts)
+
+
+def _assert_bridge_classes(n: int, us, vs, classes: list[list[int]], ids) -> None:
+    """Certify that every edge set in ``classes`` is a bond, all at once.
+
+    Each set must be one parallel class, its edges joining one vertex
+    pair, and deleting all the sets from the connected graph must leave
+    exactly ``len(classes) + 1`` components, counted with one flood per
+    component.  Contracting those components then leaves a connected
+    graph with ``len(classes)`` arcs on ``len(classes) + 1`` nodes: a
+    tree, each of whose arcs is a bond.
+    """
+    for cls in classes:
+        if len({(min(us[e], vs[e]), max(us[e], vs[e])) for e in cls}) != 1:
+            raise AssertionError(f"{[ids[e] for e in cls]} is not one parallel class")
+    nbrs = kernels._neighbour_masks(n, us, vs, removed={e for cls in classes for e in cls})
+    rest = (1 << n) - 1
+    components = 0
+    while rest:
+        rest &= ~kernels._flood(nbrs, rest & -rest, -1)
+        components += 1
+    if components != len(classes) + 1:
+        raise AssertionError(
+            f"{[[ids[e] for e in cls] for cls in classes]} leave {components} components, "
+            f"not {len(classes) + 1}"
+        )
 
 
 def _assert_bond(n: int, us, vs, cut: list[int], ids) -> None:

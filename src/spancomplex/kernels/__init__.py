@@ -1,18 +1,21 @@
 """The computational kernels: forest, spanning-tree and bridge enumeration.
 
 Pure Python with arbitrary-precision arithmetic; each edge subset is one
-int bitmask over the edge indices.  ``forest_grades`` lists every face of
-the complex by size, each size sorted in descending mask order: it walks
-only the arcs of the class quotient that are not its bridges, one edge
-per arc, and expands the other parallel members and the bridge classes
-afterwards.  ``spanning_tree_masks`` lists only the facets, the
-spanning trees, with no detour through the other forests.
-``bridge_mask`` finds the bridges, the coloops of the cycle matroid, by
-one depth-first search from the edge endpoints alone; every spanning
-tree holds them and each is a bond on its own, so the tree and bond
-oracles contract them (``contract_bridges``) and branch only on the
-rest, and recognition takes the non-bridge arcs of the class quotient
-as its cycle.
+int bitmask over the edge indices.  The cycle matroid is a direct sum in
+which parallel copies are parallel elements, so every list here factors
+over the parallel classes: ``_quotient`` builds the class quotient, one
+arc per class, and marks its bridge arcs, the classes on no cycle.
+``forest_grades`` lists every face of the complex by size, each size
+sorted in descending mask order: it walks only the quotient's other
+arcs, one edge per arc, and expands the other parallel members and the
+bridge classes afterwards.  ``spanning_tree_masks`` lists only the
+facets, the spanning trees, with no detour through the other forests:
+it contracts the bridge arcs (``contract_bridges``), branches on the
+rest, one edge per arc, and swaps the other members in afterwards.
+``bridge_mask`` finds the bridges by one depth-first search from the
+edge endpoints alone; on the quotient, the bond oracle in ``ideal``
+takes each bridge class as a bond and walks the rest, and recognition
+takes the non-bridge arcs as its cycle.
 
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
@@ -20,11 +23,12 @@ pendant edge doubles the faces to list, so larger graphs take the closed
 forms alone (``analyze --no-oracle``).  A tree mask is an int of any
 width; ``forest_grades`` checks the budget.
 
-``_flood`` is the one connectivity test, for ``build_multigraph``,
-``spanning_tree_masks`` and the bonds in ``ideal``.  The last two build
-its neighbour masks with ``_neighbour_masks``; ``build_multigraph`` ORs
-them in while it validates the edges.  Both stay private, so the
-benchmark's tracer does not time every call.
+``_flood`` is the one connectivity test, for graph validation in
+``multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.  The
+last two build its neighbour masks with ``_neighbour_masks``; graph
+validation ORs them in while it checks the edges.  These two and
+``_quotient`` stay private, so the benchmark's tracer does not time
+every call.
 
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps
@@ -54,29 +58,24 @@ def forest_grades(us, vs, n_vertices):
     ``n_vertices - 1`` lists: list k holds the forests of k + 1 edges, in
     descending mask order.  A forest takes at most one edge of each
     parallel class, and a class whose arc is a bridge of the class
-    quotient never closes a cycle: the cycle matroid is a direct sum,
-    with parallel copies as parallel elements (Whitney, "2-isomorphic
-    graphs", 1933; Oxley, *Matroid Theory*, ch. 4).  So the union-find
-    walk runs only on the other arcs, each one represented by its highest
-    edge, and the other members and the bridge classes are expanded
-    afterwards.
+    quotient (``_quotient``) never closes a cycle: the cycle matroid is a
+    direct sum, with parallel copies as parallel elements (Whitney,
+    "2-isomorphic graphs", 1933; Oxley, *Matroid Theory*, ch. 4).  So the
+    union-find walk runs only on the other arcs, each one represented by
+    its highest edge, and the other members and the bridge classes are
+    expanded afterwards.
     """
     n = len(us)
     if n > EDGE_BUDGET:
         raise ValueError(f"forest enumeration supports at most {EDGE_BUDGET} edges")
-    arcs = {}  # endpoint pair -> member bits, highest first
-    for e in range(n - 1, -1, -1):
-        u, v = us[e], vs[e]
-        arcs.setdefault((u, v) if u < v else (v, u), []).append(1 << e)
-    ends, members = list(arcs), list(arcs.values())
-    bridges = bridge_mask([u for u, _ in ends], [v for _, v in ends], n_vertices)
-    core = [a for a in range(len(ends)) if not bridges >> a & 1]
+    aus, avs, members, bridges = _quotient(us, vs, n_vertices)
+    core = [a for a in range(len(members)) if not bridges >> a & 1]
     # grade k holds the forests of k edges, from the empty one to the
     # spanning trees, of n_vertices - 1 edges; there is no grade past them
     grades = [[0]] + [[] for _ in range(n_vertices - 1)]
     _walk(
-        0, 0, 1, [members[a][0] for a in core], [ends[a][0] for a in core],
-        [ends[a][1] for a in core], list(range(n_vertices)), grades,
+        0, 0, 1, [members[a][0] for a in core], [aus[a] for a in core],
+        [avs[a] for a in core], list(range(n_vertices)), grades,
     )
     # the other core members first, before the bridge classes multiply
     # the grades they must scan
@@ -85,7 +84,7 @@ def forest_grades(us, vs, n_vertices):
         if others:
             for gr in grades:
                 gr += [m ^ b0 | b for m in gr if m & b0 for b in others]
-    for a in range(len(ends)):
+    for a in range(len(members)):
         if bridges >> a & 1:
             # none or one member: grade k + 1 gains grade k with one more edge
             for k in range(n_vertices - 2, -1, -1):
@@ -130,31 +129,42 @@ def spanning_tree_masks(us, vs, n_vertices):
     """Bitmasks of every spanning tree, unsorted.
 
     Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  A disconnected
-    graph has none.  Every tree holds every bridge, so the bridges are
-    contracted first and only the edges left, the core, are branched on.
-    Only spanning trees are visited, not every forest (Read & Tarjan,
-    "Bounds on backtrack algorithms for listing cycles, paths, and
-    spanning trees", 1975).
+    graph has none.  A tree takes one member of each parallel class, and
+    one of every class whose arc is a bridge of the class quotient
+    (``_quotient``), so the lister works on the quotient: it contracts
+    those bridge arcs, branches on the other arcs, the core, one highest
+    member per arc, and swaps the other members in afterwards, as
+    ``forest_grades`` does.  Only spanning trees are visited, not every
+    forest (Read & Tarjan, "Bounds on backtrack algorithms for listing
+    cycles, paths, and spanning trees", 1975).
 
-    A branch (i, mask, need) adds ``need`` core edges >= i to the forest
-    ``mask``, which with the edges >= i spans the graph, so every branch
-    yields a tree.  Edge i is taken only if it joins two components of
+    A branch (i, mask, need) adds ``need`` core arcs >= i to the forest
+    ``mask``, which with the arcs >= i spans the graph, so every branch
+    yields a tree.  Arc i is taken only if it joins two components of
     ``mask`` (union-find with rollback, as in ``_walk``), and left out
-    only if it is not a bridge of ``mask`` plus the edges after i.  An
+    only if it is not a bridge of ``mask`` plus the arcs after i.  An
     explicit stack, as in ``bridge_mask``, so a long core needs no deep
-    recursion: the undo entry under a branch that takes edge i splits the
-    union again before edge i is left out.
+    recursion: the undo entry under a branch that takes arc i splits the
+    union again before arc i is left out.
     """
-    nbrs = _neighbour_masks(n_vertices, us, vs, removed=())
+    aus, avs, members, bridges = _quotient(us, vs, n_vertices)
+    nbrs = _neighbour_masks(n_vertices, aus, avs, removed=())
     if _flood(nbrs, 1, -1) != (1 << n_vertices) - 1:
         return []
-    bridges = bridge_mask(us, vs, n_vertices)
-    core, cus, cvs, k = contract_bridges(us, vs, n_vertices, bridges)
-    bits = [1 << e for e in core]
+    core, cus, cvs, k = contract_bridges(aus, avs, n_vertices, bridges)
+    # branch by ascending edge, not in the quotient's descending order: the
+    # order sets the search's size, and on K7 descending needs 27,375
+    # suffix union-finds against 25,343
+    core, cus, cvs = core[::-1], cus[::-1], cvs[::-1]
+    bits = [members[a][0] for a in core]
+    held = 0  # every tree holds a member of each bridge class
+    for a in range(len(members)):
+        if bridges >> a & 1:
+            held |= members[a][0]
     parent = list(range(k))
     out = []
     # (i, mask, need, ru, rv); ru >= 0 marks the undo entry of the union ru -> rv
-    stack = [(0, bridges, k - 1, -1, -1)]
+    stack = [(0, held, k - 1, -1, -1)]
     while stack:
         i, mask, need, ru, rv = stack.pop()
         if ru >= 0:
@@ -178,7 +188,30 @@ def spanning_tree_masks(us, vs, n_vertices):
                 parent[ru] = rv
                 stack.append((i, mask, need, ru, rv))
                 stack.append((i + 1, mask | bits[i], need - 1, -1, -1))
+    for b0, *others in members:
+        if others:
+            out += [m ^ b0 | b for m in out if m & b0 for b in others]
     return out
+
+
+def _quotient(us, vs, n_vertices):
+    """The class quotient of the edge list: one arc per parallel class.
+
+    Returns ``(aus, avs, members, bridges)``: arc a joins ``aus[a] <
+    avs[a]``, ``members[a]`` lists its edges' bits, highest first, and
+    the arcs go by their highest edge, descending.  ``bridges`` is the
+    mask of the arcs that are bridges of the quotient (``bridge_mask`` on
+    one edge per arc): such a class lies on no cycle of the graph, so a
+    forest takes any one of its members, or none, and a bond holds all
+    of them or none.
+    """
+    arcs = {}  # endpoint pair -> member bits, highest first
+    for e in range(len(us) - 1, -1, -1):
+        u, v = us[e], vs[e]
+        arcs.setdefault((u, v) if u < v else (v, u), []).append(1 << e)
+    aus = [u for u, _ in arcs]
+    avs = [v for _, v in arcs]
+    return aus, avs, list(arcs.values()), bridge_mask(aus, avs, n_vertices)
 
 
 def bridge_mask(us, vs, n_vertices):

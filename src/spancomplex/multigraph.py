@@ -77,7 +77,7 @@ class ParallelClass:
 
     @property
     def is_multiple(self) -> bool:
-        return self.size >= 2
+        return len(self.members) >= 2
 
     @property
     def min_member(self) -> str:
@@ -115,12 +115,12 @@ class UnicyclicLayout:
     v: int = field(init=False)
 
     def __post_init__(self):
-        cycle = [c.size for c in self.cycle_classes if c.is_multiple]
-        outside = [c.size for c in self.outside_multiple_classes]
+        cycle = [len(c.members) for c in self.cycle_classes if c.is_multiple]
+        outside = [len(c.members) for c in self.outside_multiple_classes]
         v = len(self.outside_single_edges)
         # frozen, so the derived fields bypass the dataclass's __setattr__
         self.__dict__.update(
-            n=sum(c.size for c in self.cycle_classes) + sum(outside) + v,
+            n=sum(len(c.members) for c in self.cycle_classes) + sum(outside) + v,
             m=len(self.cycle_classes), r_prime=len(cycle), r_dprime=len(outside),
             r=len(cycle) + len(outside), alpha=sum(cycle), beta=sum(outside), v=v,
         )
@@ -154,26 +154,12 @@ def build_multigraph(vertices, edges) -> Multigraph:
     """Validate raw vertex/edge lists and return a ``Multigraph``.
 
     ``edges`` is any iterable of ``(id, (u, v))`` records.  Vertices, edge
-    ids and both ends of each record become strings.  Raises a distinct
-    error per defect: ``EmptyGraphError``, ``DuplicateEdgeIdError``,
-    ``UnknownEndpointError``, ``LoopEdgeError``, ``DisconnectedGraphError``
-    (from ``kernels._flood``) or ``GraphValidationError``.  One loop over
-    the edges validates them and builds the neighbour masks that the
-    connectivity flood reads.
+    ids and both ends of each record become strings; a record that is not
+    such a pair raises ``GraphValidationError``.  The string records then
+    go through the checks that graph files go through too
+    (``_validated``).
     """
-    vertices = tuple(str(v) for v in vertices)
-    edges = list(edges)
-    if not vertices:
-        raise EmptyGraphError("vertex list is empty")
-    if not edges:
-        raise EmptyGraphError("edge list is empty; no spanning structure possible")
-    index = dict(zip(vertices, range(len(vertices))))
-    if len(index) != len(vertices):
-        raise GraphValidationError(f"duplicate vertex identifier {_first_repeat(vertices)!r}")
-
-    seen_ids: set[str] = set()
-    norm: list[Edge] = []
-    nbrs = [0] * len(vertices)
+    records = []
     for i, record in enumerate(edges):
         try:
             eid, ends = record
@@ -184,7 +170,32 @@ def build_multigraph(vertices, edges) -> Multigraph:
             u, v = ends
         except (TypeError, ValueError):
             raise GraphValidationError(f"edge {eid!r} must join exactly two vertices") from None
-        u, v = str(u), str(v)
+        records.append((eid, (str(u), str(v))))
+    return _validated(tuple(str(v) for v in vertices), records)
+
+
+def _validated(vertices: tuple[str, ...], edges: list[Edge]) -> Multigraph:
+    """The ``Multigraph`` of string vertices and ``(id, (u, v))`` string
+    records, validated.
+
+    Raises a distinct error per defect, in this order:
+    ``EmptyGraphError``, ``GraphValidationError`` (a repeated vertex),
+    then per edge ``DuplicateEdgeIdError``, ``UnknownEndpointError`` or
+    ``LoopEdgeError``, and last ``DisconnectedGraphError`` (from
+    ``kernels._flood``).  One loop over the edges validates them and
+    builds the neighbour masks that the connectivity flood reads.
+    """
+    if not vertices:
+        raise EmptyGraphError("vertex list is empty")
+    if not edges:
+        raise EmptyGraphError("edge list is empty; no spanning structure possible")
+    index = dict(zip(vertices, range(len(vertices))))
+    if len(index) != len(vertices):
+        raise GraphValidationError(f"duplicate vertex identifier {_first_repeat(vertices)!r}")
+
+    seen_ids: set[str] = set()
+    nbrs = [0] * len(vertices)
+    for eid, (u, v) in edges:
         if eid in seen_ids:
             raise DuplicateEdgeIdError(f"duplicate edge id {eid!r}")
         seen_ids.add(eid)
@@ -198,13 +209,12 @@ def build_multigraph(vertices, edges) -> Multigraph:
             raise LoopEdgeError(f"edge {eid!r} is a loop on vertex {u!r}")
         nbrs[iu] |= 1 << iv
         nbrs[iv] |= 1 << iu
-        norm.append((eid, (u, v)))
 
     reached = kernels._flood(nbrs, 1, -1)
     if reached != (1 << len(vertices)) - 1:
         missing = next(v for i, v in enumerate(vertices) if not reached >> i & 1)
         raise DisconnectedGraphError(f"vertex {missing!r} is unreachable")
-    return Multigraph(vertices=vertices, edges=tuple(norm))
+    return Multigraph(vertices=vertices, edges=tuple(edges))
 
 
 def parallel_classes(g: Multigraph) -> list[ParallelClass]:
@@ -337,7 +347,9 @@ def multigraph_from_json(text: str) -> Multigraph:
 
     Expected shape: ``{"vertices": ["a", ...], "edges": [{"id": "e1",
     "ends": ["a", "b"]}, ...]}``.  Array order is significant.  Schema
-    violations raise ``SchemaError`` naming the offending field.
+    violations raise ``SchemaError`` naming the offending field; the
+    string records it checks go straight to ``_validated``, the checks
+    that ``build_multigraph`` ends with.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -381,7 +393,7 @@ def multigraph_from_json(text: str) -> Multigraph:
         ):
             raise SchemaError(f"{where}.ends must be an array of two vertex names")
         edges.append((rec["id"], (ends[0], ends[1])))
-    return build_multigraph(verts, edges)
+    return _validated(tuple(verts), edges)
 
 
 def load_graph_file(path) -> Multigraph:

@@ -37,12 +37,14 @@ def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[tuple[str, 
 
 
 def enumerate_spanning_trees_generic(g: Multigraph) -> list[tuple[str, ...]]:
-    """Oracle route: all spanning trees, by backtracking over the edges.
+    """Oracle route: all spanning trees, by backtracking over the parallel
+    classes.
 
-    Each edge is taken only if it closes no cycle and left out only if
-    the rest still connects the graph (``kernels.spanning_tree_masks``),
-    so no branch is a dead end and the work grows with the number of
-    trees, not of forests.
+    ``kernels.spanning_tree_masks`` branches on one edge per class that
+    lies on a cycle of the class quotient, then swaps in the other
+    members.  A class is taken only if it closes no cycle and left out
+    only if the rest still connects the graph, so no branch is a dead end
+    and the work grows with the number of trees, not of forests.
     """
     us, vs = edge_endpoint_indices(g)
     ids = g.edge_ids()
@@ -56,8 +58,8 @@ def count_spanning_trees_layout(layout: UnicyclicLayout) -> int:
     """Closed-form spanning tree count implied by the choice structure:
     (product of outside multiplicities) * sum over cycle positions w of
     the product of the other cycle multiplicities."""
-    outside = prod(c.size for c in layout.outside_multiple_classes)
-    sizes = [c.size for c in layout.cycle_classes]
+    outside = prod(len(c.members) for c in layout.outside_multiple_classes)
+    sizes = [len(c.members) for c in layout.cycle_classes]
     total = prod(sizes)
     per_deletion = sum(total // sizes[w] for w in range(layout.m))
     return outside * per_deletion

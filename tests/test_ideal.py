@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import sys
 
 import pytest
@@ -14,11 +15,11 @@ from spancomplex import (
     run_analyze,
 )
 from spancomplex.cli import main
-from spancomplex.ideal import _assert_bond, render_decomposition
+from spancomplex.ideal import _assert_bond, _assert_bridge_classes, render_decomposition
 from spancomplex.multigraph import edge_endpoint_indices
 
 import bruteforce
-from conftest import FIXTURES, connected_multigraphs
+from conftest import FIXTURES, connected_multigraphs, layout_graph
 
 FIG1_COVERS = {
     frozenset({"e41", "e42"}),
@@ -107,6 +108,36 @@ def test_bond_check_rejects_non_bonds(fig1):
         check("e21", "e31", "e41", "e42")  # leaves {a, b}, {c} and {d}
     with pytest.raises(AssertionError, match="is not minimal: e41 is redundant"):
         check("e21", "e31", "e41")  # e42 still joins c to d
+
+
+def test_bridge_class_check_rejects_non_bridge_classes():
+    # a 3-cycle with one double class, two outside double classes and a
+    # pendant edge beyond them, on the path v0 - w0 - w1 - w2
+    g = layout_graph([2, 1, 1], (2, 2), 1)
+    us, vs = edge_endpoint_indices(g)
+    ids = g.edge_ids()
+
+    def check(*classes):
+        _assert_bridge_classes(
+            g.n_vertices, us, vs, [[ids.index(e) for e in c] for c in classes], ids
+        )
+
+    bridges = (["b0_0", "b0_1"], ["b1_0", "b1_1"], ["b2_0"])
+    check(*bridges)
+    # deleting a cycle class too splits off no further component
+    planted = re.escape(
+        "[['b0_0', 'b0_1'], ['b1_0', 'b1_1'], ['b2_0'], ['c0_0', 'c0_1']] "
+        "leave 4 components, not 5"
+    )
+    with pytest.raises(AssertionError, match=f"^{planted}$"):
+        check(*bridges, ["c0_0", "c0_1"])
+    # b0_1 still joins v0 to w0
+    dropped = re.escape("[['b0_0'], ['b1_0', 'b1_1'], ['b2_0']] leave 3 components, not 4")
+    with pytest.raises(AssertionError, match=f"^{dropped}$"):
+        check(["b0_0"], *bridges[1:])
+    # deleting both leaves two components, but c1_0 is redundant: not one class
+    with pytest.raises(AssertionError, match=re.escape("['b2_0', 'c1_0'] is not one parallel class")):
+        check(["b2_0", "c1_0"])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,7 @@ from spancomplex import (
     parallel_classes,
     recognize_unicyclic,
 )
+from spancomplex.multigraph import edge_endpoint_indices
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
@@ -242,3 +243,29 @@ def test_closed_form_lists_past_the_enumeration_budget():
         lay.v + lay.r_prime * singles + comb(singles, 2) + comb(lay.r_prime, 2) + lay.r_dprime
     )
     assert len(set(covers)) == len(covers) == families == 110
+
+
+def test_tree_masks_of_the_fat_10_cycle():
+    # ten triple classes: 10 * 3**9 trees, from a class quotient with 10
+    g = layout_graph([3] * 10)
+    us, vs = edge_endpoint_indices(g)
+    masks = kernels.spanning_tree_masks(us, vs, g.n_vertices)
+    assert len(set(masks)) == len(masks) == 196_830
+    assert all(m.bit_count() == g.n_vertices - 1 for m in masks)
+    assert len(masks) == count_spanning_trees_layout(recognize_unicyclic(g))
+
+
+def test_generic_covers_past_the_enumeration_budget():
+    # a 3-cycle of double classes and 1000 pendant edges: n = 1006
+    g = layout_graph([2, 2, 2], pendants=1000)
+    covers = minimal_vertex_covers_generic(g)
+    assert len(covers) == 1003
+    assert covers == minimal_vertex_covers_closed_form(recognize_unicyclic(g))
+
+
+def test_generic_facets_past_the_enumeration_budget():
+    # n = 43: every class size on the cycle, two outside classes, 30 pendants
+    g = layout_graph([3, 2, 2, 1], (2, 3), 30)
+    facets = enumerate_spanning_trees_generic(g)
+    assert len(facets) == 168
+    assert as_sets(facets) == as_sets(enumerate_spanning_trees_layout(recognize_unicyclic(g)))
