@@ -38,6 +38,7 @@ from .homology import (
     graded_faces,
 )
 from .ideal import (
+    facet_ideal_generic,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "enumerate_spanning_trees_generic",
     "enumerate_spanning_trees_layout",
     "f_vector_closed_form",
+    "facet_ideal_generic",
     "graded_faces",
     "load_graph_file",
     "minimal_vertex_covers_closed_form",

@@ -30,7 +30,7 @@ from .homology import (
     euler_from_betti,
     graded_faces,
 )
-from .ideal import minimal_vertex_covers_generic, render_decomposition
+from .ideal import facet_ideal_generic, minimal_vertex_covers_generic, render_decomposition
 from .kernels import require_budget
 from .multigraph import Multigraph, load_graph_file, recognize_unicyclic
 from .randomgraphs import random_suite
@@ -38,7 +38,10 @@ from .spanning import enumerate_spanning_trees_generic
 
 
 def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+    # every document is a fresh tree built for this call, so the encoder
+    # skips its per-container cycle bookkeeping; a cyclic one would end in
+    # RecursionError, an internal error (exit 4)
+    sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False, check_circular=False) + "\n")
 
 
 def _emit_discrepancies(discrepancies) -> None:
@@ -83,12 +86,13 @@ def cmd_facets(args) -> int:
 def cmd_covers(args) -> int:
     g = load_graph_file(args.path)
     require_budget(g.n_edges, "spanning tree enumeration")
-    covers = minimal_vertex_covers_generic(g)
     if args.json:
         # the facet ideal: one generator per spanning tree, one prime per
         # minimal cover; only the JSON view lists the generators
-        _emit_json({"generators": enumerate_spanning_trees_generic(g), "components": covers})
+        generators, components = facet_ideal_generic(g)
+        _emit_json({"generators": generators, "components": components})
     else:
+        covers = minimal_vertex_covers_generic(g)
         for c in covers:
             sys.stdout.write(" ".join(c) + "\n")
         sys.stdout.write("decomposition: " + render_decomposition(covers) + "\n")

@@ -9,13 +9,15 @@ arc per class, and marks its bridge arcs, the classes on no cycle.
 sorted in descending mask order: it walks only the quotient's other
 arcs, one edge per arc, and expands the other parallel members and the
 bridge classes afterwards.  ``spanning_tree_masks`` lists only the
-facets, the spanning trees, with no detour through the other forests:
-it contracts the bridge arcs (``contract_bridges``), branches on the
-rest, one edge per arc, and swaps the other members in afterwards.
-``bridge_mask`` finds the bridges by one depth-first search from the
-edge endpoints alone; on the quotient, the bond oracle in ``ideal``
-takes each bridge class as a bond and walks the rest, and recognition
-takes the non-bridge arcs as its cycle.
+facets, the spanning trees, with no detour through the other forests,
+in two steps: ``_contracted_quotient`` builds the quotient with its
+bridge arcs contracted (``contract_bridges``), and ``_tree_masks``
+branches on the arcs left, one edge per arc, and swaps the other
+members in afterwards.  The bond walk in ``ideal`` runs on the same
+contracted quotient, so ``ideal.facet_ideal_generic`` builds it once
+for the trees and the bonds.  ``bridge_mask`` finds the bridges by one
+depth-first search from the edge endpoints alone; recognition takes the
+quotient's non-bridge arcs as its cycle.
 
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
@@ -24,11 +26,12 @@ forms alone (``analyze --no-oracle``).  A tree mask is an int of any
 width; ``forest_grades`` checks the budget.
 
 ``_flood`` is the one connectivity test, for graph validation in
-``multigraph``, ``spanning_tree_masks`` and the bonds in ``ideal``.  The
-last two build its neighbour masks with ``_neighbour_masks``; graph
-validation ORs them in while it checks the edges.  These two and
-``_quotient`` stay private, so the benchmark's tracer does not time
-every call.
+``multigraph``, the tree lister and the bonds in ``ideal``.
+``_contracted_quotient`` builds its neighbour masks on the contracted
+vertices, and the bond checks on the whole graph, with
+``_neighbour_masks``; graph validation ORs them in while it checks the
+edges.  These helpers stay private, so the benchmark's tracer does not
+time every call.
 
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps
@@ -129,14 +132,41 @@ def spanning_tree_masks(us, vs, n_vertices):
     """Bitmasks of every spanning tree, unsorted.
 
     Edge i joins vertex indices ``us[i]`` and ``vs[i]``.  A disconnected
-    graph has none.  A tree takes one member of each parallel class, and
-    one of every class whose arc is a bridge of the class quotient
-    (``_quotient``), so the lister works on the quotient: it contracts
-    those bridge arcs, branches on the other arcs, the core, one highest
-    member per arc, and swaps the other members in afterwards, as
-    ``forest_grades`` does.  Only spanning trees are visited, not every
-    forest (Read & Tarjan, "Bounds on backtrack algorithms for listing
-    cycles, paths, and spanning trees", 1975).
+    graph has none.  Two steps: ``_contracted_quotient`` builds the class
+    quotient with its bridge arcs contracted, and ``_tree_masks``
+    branches on what is left.
+    """
+    return _tree_masks(_contracted_quotient(us, vs, n_vertices))
+
+
+def _contracted_quotient(us, vs, n_vertices):
+    """The class quotient (``_quotient``) with its bridge arcs contracted
+    (``contract_bridges``): the one structure that the tree lister and
+    the bond walk in ``ideal`` both run on.
+
+    Returns ``(members, bridges, core, cus, cvs, nbrs)``: ``members`` and
+    ``bridges`` as ``_quotient`` gives them; core arc j is the quotient
+    arc ``core[j]`` and joins ``cus[j]`` and ``cvs[j]`` of the
+    ``len(nbrs)`` contracted vertices, whose neighbour masks are
+    ``nbrs``.  Contraction keeps connectivity, so the graph is connected
+    exactly when its contracted vertices are.
+    """
+    aus, avs, members, bridges = _quotient(us, vs, n_vertices)
+    core, cus, cvs, k = contract_bridges(aus, avs, n_vertices, bridges)
+    return members, bridges, core, cus, cvs, _neighbour_masks(k, cus, cvs, removed=())
+
+
+def _tree_masks(quotient):
+    """Bitmasks of every spanning tree, unsorted, branching on the
+    contracted class quotient of ``_contracted_quotient``.
+
+    A tree takes one member of each parallel class, and one of every
+    class whose arc is a bridge of the class quotient, so the lister
+    branches only on the core arcs, one highest member per arc, and
+    swaps the other members in afterwards, as ``forest_grades`` does.
+    Only spanning trees are visited, not every forest (Read & Tarjan,
+    "Bounds on backtrack algorithms for listing cycles, paths, and
+    spanning trees", 1975).
 
     A branch (i, mask, need) adds ``need`` core arcs >= i to the forest
     ``mask``, which with the arcs >= i spans the graph, so every branch
@@ -147,11 +177,10 @@ def spanning_tree_masks(us, vs, n_vertices):
     recursion: the undo entry under a branch that takes arc i splits the
     union again before arc i is left out.
     """
-    aus, avs, members, bridges = _quotient(us, vs, n_vertices)
-    nbrs = _neighbour_masks(n_vertices, aus, avs, removed=())
-    if _flood(nbrs, 1, -1) != (1 << n_vertices) - 1:
+    members, bridges, core, cus, cvs, nbrs = quotient
+    k = len(nbrs)
+    if _flood(nbrs, 1, -1) != (1 << k) - 1:
         return []
-    core, cus, cvs, k = contract_bridges(aus, avs, n_vertices, bridges)
     # branch by ascending edge, not in the quotient's descending order: the
     # order sets the search's size, and on K7 descending needs 27,375
     # suffix union-finds against 25,343

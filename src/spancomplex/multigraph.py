@@ -322,6 +322,40 @@ def edge_sets(sets) -> list[tuple[str, ...]]:
     return out
 
 
+def id_ordered_indices(g: Multigraph) -> tuple[list[int], list[int], list[str]]:
+    """Endpoints of every edge as vertex indices, with the edges by id,
+    descending, and the ids in that order.
+
+    The k-th smallest of n ids is edge n-1-k, so the highest bit of an
+    edge mask is its smallest id, and of two masks of one size the
+    larger holds the smallest id in which they differ: descending int
+    order is the lexicographic order of their sorted id tuples
+    (``mask_edge_sets``).
+    """
+    v_index = {v: i for i, v in enumerate(g.vertices)}
+    edges = sorted(g.edges, reverse=True)  # ids are distinct: the ends never compare
+    us = [v_index[u] for _, (u, _) in edges]
+    vs = [v_index[w] for _, (_, w) in edges]
+    return us, vs, [eid for eid, _ in edges]
+
+
+def mask_edge_sets(masks, ids) -> list[tuple[str, ...]]:
+    """``edge_sets`` of edge masks over ``id_ordered_indices``, with no
+    string sort: the masks go by descending int, then stably by size,
+    and each is read from its highest bit down, so its tuple comes out
+    sorted."""
+    out = []
+    for m in sorted(masks, reverse=True):
+        edges = []
+        while m:
+            b = m.bit_length() - 1
+            edges.append(ids[b])
+            m ^= 1 << b
+        out.append(tuple(edges))
+    out.sort(key=len)
+    return out
+
+
 def _first_repeat(items):
     """The first item that equals an earlier one (the caller knows one does)."""
     seen = set()
@@ -377,13 +411,12 @@ def multigraph_from_json(text: str) -> Multigraph:
         raise SchemaError("'edges' must be an array")
     edges = []
     for i, rec in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(rec, dict):
-            raise SchemaError(f"{where} must be an object")
+            raise SchemaError(f"edges[{i}] must be an object")
         if rec.keys() != _EDGE_KEYS:
-            raise SchemaError(f"{where} must have exactly the keys 'id' and 'ends'")
+            raise SchemaError(f"edges[{i}] must have exactly the keys 'id' and 'ends'")
         if not isinstance(rec["id"], str):
-            raise SchemaError(f"{where}.id must be a string")
+            raise SchemaError(f"edges[{i}].id must be a string")
         ends = rec["ends"]
         if (
             not isinstance(ends, list)
@@ -391,7 +424,7 @@ def multigraph_from_json(text: str) -> Multigraph:
             or not isinstance(ends[0], str)
             or not isinstance(ends[1], str)
         ):
-            raise SchemaError(f"{where}.ends must be an array of two vertex names")
+            raise SchemaError(f"edges[{i}].ends must be an array of two vertex names")
         edges.append((rec["id"], (ends[0], ends[1])))
     return _validated(tuple(verts), edges)
 

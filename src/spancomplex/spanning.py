@@ -3,12 +3,16 @@
 Two independent routes produce the facet set of the spanning simplicial
 complex: a closed form over the canonical uni-cyclic layout, and a
 generic backtracking enumeration of the spanning trees of any connected
-multigraph, which uses no layout information.  Both list their trees
-through ``multigraph.edge_sets``.  The backtracking route backs the
-``facets`` and ``covers --json`` commands; ``analyze`` and ``verify``
-read their oracle facets off the top grade of ``homology.graded_faces``
-instead, so only the tests compare the backtracking route with the
-closed form.
+multigraph, which uses no layout information.  The closed form lists
+its trees through ``multigraph.edge_sets``.  The backtracking route
+indexes the edges by id (``multigraph.id_ordered_indices``), so sorting
+its tree masks as ints puts them in lexicographic order, and each mask
+decodes once into its sorted id tuple (``multigraph.mask_edge_sets``).
+It backs the ``facets`` command; ``covers --json`` lists the same trees
+from the class quotient it shares with the bonds
+(``ideal.facet_ideal_generic``).  ``analyze`` and ``verify`` read their
+oracle facets off the top grade of ``homology.graded_faces`` instead, so
+only the tests compare the backtracking route with the closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +21,13 @@ from itertools import product
 from math import prod
 
 from . import kernels
-from .multigraph import Multigraph, UnicyclicLayout, edge_endpoint_indices, edge_sets
+from .multigraph import (
+    Multigraph,
+    UnicyclicLayout,
+    edge_sets,
+    id_ordered_indices,
+    mask_edge_sets,
+)
 
 
 def enumerate_spanning_trees_layout(layout: UnicyclicLayout) -> list[tuple[str, ...]]:
@@ -44,14 +54,11 @@ def enumerate_spanning_trees_generic(g: Multigraph) -> list[tuple[str, ...]]:
     lies on a cycle of the class quotient, then swaps in the other
     members.  A class is taken only if it closes no cycle and left out
     only if the rest still connects the graph, so no branch is a dead end
-    and the work grows with the number of trees, not of forests.
+    and the work grows with the number of trees, not of forests.  The
+    edges go by id, so the masks decode in order (``mask_edge_sets``).
     """
-    us, vs = edge_endpoint_indices(g)
-    ids = g.edge_ids()
-    return edge_sets(
-        [ids[i] for i in range(g.n_edges) if mask >> i & 1]
-        for mask in kernels.spanning_tree_masks(us, vs, g.n_vertices)
-    )
+    us, vs, ids = id_ordered_indices(g)
+    return mask_edge_sets(kernels.spanning_tree_masks(us, vs, g.n_vertices), ids)
 
 
 def count_spanning_trees_layout(layout: UnicyclicLayout) -> int:

@@ -194,21 +194,26 @@ def test_covers_text(capsys):
     assert "decomposition: (x_{e21},x_{e31})" in out
 
 
-@pytest.mark.parametrize("flags,enumerations", [((), 0), (("--json",), 1)])
-def test_covers_enumerates_trees_only_for_json(capsys, monkeypatch, flags, enumerations):
-    from spancomplex import cli
+@pytest.mark.parametrize(
+    "argv,tree_listings",
+    [(("covers",), 0), (("covers", "--json"), 1), (("facets", "--json"), 1)],
+    ids=["covers", "covers-json", "facets-json"],
+)
+def test_enum_commands_build_one_quotient(capsys, monkeypatch, argv, tree_listings):
+    # covers --json lists the trees and the bonds from one class quotient;
+    # only the JSON views list trees
+    calls = {"_quotient": 0, "_tree_masks": 0}
+    for name in calls:
+        kernel = getattr(kernels, name)
 
-    calls = []
-    enumerate_trees = cli.enumerate_spanning_trees_generic
+        def counting(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
 
-    def counting(g):
-        calls.append(g.n_edges)
-        return enumerate_trees(g)
-
-    monkeypatch.setattr(cli, "enumerate_spanning_trees_generic", counting)
-    code, out, _ = run_cli(capsys, "covers", FIG1, *flags)
+        monkeypatch.setattr(kernels, name, counting)
+    code, out, _ = run_cli(capsys, argv[0], FIG1, *argv[1:])
     assert code == 0 and out
-    assert len(calls) == enumerations
+    assert calls == {"_quotient": 1, "_tree_masks": tree_listings}
 
 
 def test_homology_text(capsys):

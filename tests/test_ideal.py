@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from spancomplex import (
     build_multigraph,
     enumerate_spanning_trees_generic,
+    facet_ideal_generic,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
     recognize_unicyclic,
@@ -147,6 +148,16 @@ def test_generic_covers_are_the_minimal_transversals(g):
     assert as_sets(covers) == bruteforce.minimal_covers(enumerate_spanning_trees_generic(g))
     assert len(as_sets(covers)) == len(covers)
     assert covers == sorted(covers, key=lambda c: (len(c), c))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=10, max_rank=3))
+def test_facet_ideal_lists_the_trees_and_the_input_order_bonds(g):
+    # one shared quotient and the id-order decode, against the tree lister
+    # and the bond walk over the edges in input order
+    generators, components = facet_ideal_generic(g)
+    assert generators == enumerate_spanning_trees_generic(g)
+    assert components == minimal_vertex_covers_generic(g)
 
 
 def test_closed_form_covers_fig1(fig1):
