@@ -14,8 +14,10 @@ in two steps: ``_contracted_quotient`` builds the quotient with its
 bridge arcs contracted (``contract_bridges``), and ``_tree_masks``
 branches on the arcs left, one edge per arc, and swaps the other
 members in afterwards.  The bond walk in ``ideal`` runs on the same
-contracted quotient, so ``ideal.facet_ideal_generic`` builds it once
-for the trees and the bonds.  ``bridge_mask`` finds the bridges by one
+contracted quotient and ORs each bond's arcs' member bits into one edge
+mask, so every generic cover list decodes as the trees do, and
+``ideal.facet_ideal_generic`` builds the quotient once for the trees
+and the bonds.  ``bridge_mask`` finds the bridges by one
 depth-first search from the edge endpoints alone; recognition takes the
 quotient's non-bridge arcs as its cycle.
 
@@ -153,7 +155,7 @@ def _contracted_quotient(us, vs, n_vertices):
     """
     aus, avs, members, bridges = _quotient(us, vs, n_vertices)
     core, cus, cvs, k = contract_bridges(aus, avs, n_vertices, bridges)
-    return members, bridges, core, cus, cvs, _neighbour_masks(k, cus, cvs, removed=())
+    return members, bridges, core, cus, cvs, _neighbour_masks(k, cus, cvs, removed=0)
 
 
 def _tree_masks(quotient):
@@ -328,10 +330,11 @@ def _root(comp, x):
     return x
 
 
-def _neighbour_masks(n: int, us, vs, removed) -> list[int]:
+def _neighbour_masks(n: int, us, vs, removed: int) -> list[int]:
+    """Neighbour masks of the n vertices, without the edges of the mask ``removed``."""
     nbrs = [0] * n
     for e, (u, v) in enumerate(zip(us, vs)):
-        if e not in removed:
+        if not removed >> e & 1:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
     return nbrs

@@ -194,6 +194,30 @@ def test_covers_text(capsys):
     assert "decomposition: (x_{e21},x_{e31})" in out
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["fig1", "reversed"])
+def test_covers_text_and_json_list_what_analyze_reports(capsys, tmp_path, reverse):
+    # fig1 lists its edges by ascending id and its reversed copy by
+    # descending id, so masks built in input order but decoded in id order
+    # give an unsorted list on one of the two
+    doc = json.loads(Path(FIG1).read_text())
+    if reverse:
+        doc["edges"].reverse()
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "covers", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("decomposition: ")
+    text_covers = [line.split(" ") for line in lines[:-1]]
+    code, out, _ = run_cli(capsys, "covers", str(path), "--json")
+    assert code == 0
+    json_covers = json.loads(out)["components"]
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    assert text_covers == json_covers == json.loads(out)["covers"]
+    assert len(text_covers) == 4
+
+
 @pytest.mark.parametrize(
     "argv,tree_listings",
     [(("covers",), 0), (("covers", "--json"), 1), (("facets", "--json"), 1)],

@@ -99,7 +99,7 @@ def test_bond_check_rejects_non_bonds(fig1):
     ids = fig1.edge_ids()
 
     def check(*cut):
-        _assert_bond(fig1.n_vertices, us, vs, [ids.index(e) for e in cut], ids)
+        _assert_bond(fig1.n_vertices, us, vs, sum(1 << ids.index(e) for e in cut), ids)
 
     check("e41", "e42")
     check("e11", "e12", "e13", "e31")
@@ -120,7 +120,7 @@ def test_bridge_class_check_rejects_non_bridge_classes():
 
     def check(*classes):
         _assert_bridge_classes(
-            g.n_vertices, us, vs, [[ids.index(e) for e in c] for c in classes], ids
+            g.n_vertices, us, vs, [sum(1 << ids.index(e) for e in c) for c in classes], ids
         )
 
     bridges = (["b0_0", "b0_1"], ["b1_0", "b1_1"], ["b2_0"])
@@ -153,8 +153,7 @@ def test_generic_covers_are_the_minimal_transversals(g):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(g=connected_multigraphs(max_edges=10, max_rank=3))
 def test_facet_ideal_lists_the_trees_and_the_input_order_bonds(g):
-    # one shared quotient and the id-order decode, against the tree lister
-    # and the bond walk over the edges in input order
+    # one shared quotient gives what the two standalone calls give
     generators, components = facet_ideal_generic(g)
     assert generators == enumerate_spanning_trees_generic(g)
     assert components == minimal_vertex_covers_generic(g)
