@@ -27,7 +27,13 @@ from .ideal import (
     render_decomposition,
 )
 from .kernels import EDGE_BUDGET, require_budget
-from .multigraph import Multigraph, ParallelClass, UnicyclicLayout, recognize_unicyclic
+from .multigraph import (
+    Multigraph,
+    ParallelClass,
+    UnicyclicLayout,
+    mask_edge_sets,
+    recognize_unicyclic,
+)
 from .spanning import count_spanning_trees_layout, enumerate_spanning_trees_layout
 
 EdgeSets = list[tuple[str, ...]]
@@ -253,14 +259,8 @@ def run_analyze(
 
     if not no_oracle:
         faces = graded_faces(g)
-        # g is connected, so its largest forests are its spanning trees;
-        # decoded by ascending edge id they are sorted tuples of one size,
-        # so a single sort puts them in the ``edge_sets`` order
-        n = g.n_edges
-        bits = sorted((e, 1 << (n - 1 - k)) for k, e in enumerate(faces.edge_order))
-        routes["facets"]["generic"] = sorted(
-            tuple(e for e, b in bits if t & b) for t in faces.grades[-1]
-        )
+        # g is connected, so its largest forests are its spanning trees
+        routes["facets"]["generic"] = mask_edge_sets(faces.grades[-1], faces.edge_order[::-1])
         fv = routes["f_vector"]["bruteforce"] = FVector(faces.sizes())
         routes["euler"]["bruteforce"] = euler_characteristic(fv)
         report.betti = betti_from_faces(faces)

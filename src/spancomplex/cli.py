@@ -102,11 +102,13 @@ def cmd_covers(args) -> int:
 def cmd_homology(args) -> int:
     g = load_graph_file(args.path)
     if args.dump_matrices:
-        # a uni-cyclic graph's dump follows its canonical labels, not the file's order
+        # a uni-cyclic graph's dump follows its canonical labels, any other's the
+        # file's order: each edge is renamed to its zero-padded position in it
+        order = g.edge_ids()
         with contextlib.suppress(NotUnicyclicError):
-            ends = dict(g.edges)
             order = recognize_unicyclic(g).canonical_labels()
-            g = Multigraph(g.vertices, tuple((e, ends[e]) for e in order))
+        ends, width = dict(g.edges), len(str(g.n_edges))
+        g = Multigraph(g.vertices, tuple((f"{k:0{width}}", ends[e]) for k, e in enumerate(order)))
     faces = graded_faces(g)
     betti = betti_from_faces(faces)
     if args.dump_matrices:

@@ -2,11 +2,11 @@
 and Betti numbers.
 
 Faces are forests, kept as the kernel's bitmasks (``GradedFaces.names``
-decodes one), graded by dimension and sorted by the graph's input edge
-order, the tie-break rule of ``Multigraph``; the boundary maps are the
-usual signed incidence matrices.  The enumeration depends on the graph
-alone, never on its uni-cyclic layout, so it stays an independent oracle
-for the closed forms.
+decodes one), graded by dimension and sorted by edge id, the one layout
+of every edge mask (``multigraph.id_ordered_indices``); the boundary maps
+are the usual signed incidence matrices.  The enumeration depends on the
+graph alone, never on its uni-cyclic layout or its input order, so it
+stays an independent oracle for the closed forms.
 Betti numbers are ranks of homology over the rationals, read off boundary
 ranks taken over GF(2).  The two agree on every complex built here: it is
 the independence complex of a graphic matroid, which is shellable (Provan
@@ -38,13 +38,13 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from . import kernels
-from .multigraph import Multigraph, edge_endpoint_indices
+from .multigraph import Multigraph, id_ordered_indices
 
 
 @dataclass(frozen=True)
 class GradedFaces:
     """Faces per dimension, each a forest bitmask whose bit b is the edge
-    ``edge_order[n - 1 - b]``: high bits come first in the global order, so
+    ``edge_order[n - 1 - b]``, the global order being the ids ascending: so
     each grade, in descending mask order, is in the global face order."""
 
     edge_order: tuple[str, ...]
@@ -78,16 +78,16 @@ class BettiProfile:
 def graded_faces(g: Multigraph) -> GradedFaces:
     """Enumerate all faces (forests), grouped and ordered by dimension.
 
-    The global order is ``g.edge_ids()``.  The edges are indexed in its
-    reverse, so ``kernels.forest_grades``, which sorts each size in
-    descending mask order, gives every grade in the global order.  See
-    ``GradedFaces``.
+    The global order is the edge ids ascending.  The edges are indexed by
+    id (``id_ordered_indices``), so ``kernels.forest_grades``, which sorts
+    each size in descending mask order, gives every grade in the global
+    order, whatever the input order.  See ``GradedFaces``.
     """
     kernels.require_budget(g.n_edges, "graded face enumeration")
-    us, vs = edge_endpoint_indices(g)
+    us, vs, ids = id_ordered_indices(g)
     # g is connected, so none of the kernel's |V| - 1 grades is empty
-    grades = kernels.forest_grades(us[::-1], vs[::-1], g.n_vertices)
-    return GradedFaces(edge_order=g.edge_ids(), grades=tuple(map(tuple, grades)))
+    grades = kernels.forest_grades(us, vs, g.n_vertices)
+    return GradedFaces(edge_order=tuple(reversed(ids)), grades=tuple(map(tuple, grades)))
 
 
 def boundary_matrix(faces: GradedFaces, i: int) -> tuple[dict[int, int], ...]:

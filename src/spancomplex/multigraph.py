@@ -32,8 +32,9 @@ Edge = tuple[str, tuple[str, str]]
 class Multigraph:
     """A validated, connected, loop-free multigraph.
 
-    ``vertices`` and ``edges`` keep their input order; that order drives
-    every deterministic tie-break downstream.
+    ``vertices`` and ``edges`` keep their input order, which sets each
+    parallel class's member order and so the canonical labels; edge masks
+    and faces go by edge id instead (``id_ordered_indices``).
     """
 
     vertices: tuple[str, ...]
@@ -304,14 +305,6 @@ def recognize_unicyclic(g: Multigraph) -> UnicyclicLayout:
     )
 
 
-def edge_endpoint_indices(g: Multigraph) -> tuple[list[int], list[int]]:
-    """Endpoints of every edge as vertex indices, in edge input order."""
-    v_index = {v: i for i, v in enumerate(g.vertices)}
-    us = [v_index[u] for _, (u, _) in g.edges]
-    vs = [v_index[w] for _, (_, w) in g.edges]
-    return us, vs
-
-
 def edge_sets(sets) -> list[tuple[str, ...]]:
     """The one list format of facets and covers: each set becomes its
     sorted edge-id tuple, and the list goes by size, then lexicographically.
@@ -324,7 +317,8 @@ def edge_sets(sets) -> list[tuple[str, ...]]:
 
 def id_ordered_indices(g: Multigraph) -> tuple[list[int], list[int], list[str]]:
     """Endpoints of every edge as vertex indices, with the edges by id,
-    descending, and the ids in that order.
+    descending, and the ids in that order: the one layout of every edge
+    mask, for faces, spanning trees and bonds alike.
 
     The k-th smallest of n ids is edge n-1-k, so the highest bit of an
     edge mask is its smallest id, and of two masks of one size the

@@ -15,6 +15,15 @@ def _vertex_index(g):
     return {v: i for i, v in enumerate(g.vertices)}
 
 
+def edge_endpoint_indices(g) -> tuple[list[int], list[int]]:
+    """Endpoints of every edge as vertex indices, in edge input order: the
+    kernels' edge lists for tests that index the edges by input order."""
+    v_index = _vertex_index(g)
+    us = [v_index[u] for _, (u, _) in g.edges]
+    vs = [v_index[w] for _, (_, w) in g.edges]
+    return us, vs
+
+
 def _pairs(g):
     vi = _vertex_index(g)
     return {eid: (vi[u], vi[w]) for eid, (u, w) in g.edges}

@@ -339,6 +339,44 @@ def test_reversed_fig1_dump_matches_golden_bytes(capsys, tmp_path):
     assert digests == REVERSED_FIG1_DUMP_SHA256
 
 
+# theta is not uni-cyclic, so its dump lists the faces in file order.  The
+# reversed list is a relabelling of theta's (swap u and w), so its bytes
+# are theta's; listing the u-side edges first (t1 t3 t5 t2 t4 t6) goes
+# against the id order and changes d_3
+REORDERED_THETA_DUMP_SHA256 = {
+    "reversed": (
+        [5, 4, 3, 2, 1, 0],
+        [
+            "0be662095c3e5dcdc82f99b9dc09f1eeafb2f4f40e78999712f7029016f1548e",
+            "fa1376b21d1d2ec67ad161965596d2ce4254d4658243a853795d1d05cac7cd8f",
+            "ddfedc5df3203a04cb927dd823749e9d9d7753f93a10533cd95b2bb0e846a0ee",
+        ],
+    ),
+    "u-side-first": (
+        [0, 2, 4, 1, 3, 5],
+        [
+            "0be662095c3e5dcdc82f99b9dc09f1eeafb2f4f40e78999712f7029016f1548e",
+            "fa1376b21d1d2ec67ad161965596d2ce4254d4658243a853795d1d05cac7cd8f",
+            "4adef01e87a4943844c58dd4086521146f06e4bffcc08abb393e2c875c8e30d7",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("order", REORDERED_THETA_DUMP_SHA256)
+def test_reversed_theta_dump_matches_golden_bytes(capsys, tmp_path, order):
+    perm, expected = REORDERED_THETA_DUMP_SHA256[order]
+    doc = json.loads(Path(THETA).read_text())
+    doc["edges"] = [doc["edges"][i] for i in perm]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "mats"
+    code, _, _ = run_cli(capsys, "homology", str(path), "--dump-matrices", str(outdir))
+    assert code == 0
+    digests = [_sha256(f.read_bytes()) for f in sorted(outdir.iterdir())]
+    assert digests == expected
+
+
 # the 18-edge pendant layout's d_1..d_10; d_6 is 8925 x 10452
 PENDANTS_DUMP_SHA256 = [
     "6cdd2c03f47dbef45deee2e28182e0fab0eb45cd2c95553cbf298b752ac3538f",

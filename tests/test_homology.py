@@ -13,6 +13,7 @@ from spancomplex import (
     euler_from_betti,
     graded_faces,
     homology,
+    run_analyze,
 )
 from spancomplex.fvector import FVector
 from spancomplex.homology import BettiProfile, betti_from_faces, coordinate_triples
@@ -46,10 +47,15 @@ def test_global_order_uses_canonical_labels(fig1):
     assert faces.edge_order == ("e11", "e12", "e13", "e21", "e31", "e41", "e42")
 
 
-def test_global_order_is_input_edge_order(fig1):
-    # the canonical order of the reversed list would be e13 e12 e11 e21 e31 e42 e41
-    g = build_multigraph(fig1.vertices, reversed(fig1.edges))
-    assert graded_faces(g).edge_order == g.edge_ids()
+def test_global_order_is_edge_id_order(fig1):
+    # the reversed list's input order is e42 e41 ... e11, and the shuffled
+    # copy's ids go against its input order: both faces go by edge id
+    reversed_fig1 = build_multigraph(fig1.vertices, reversed(fig1.edges))
+    ids = ["e31", "e12", "e42", "e11", "e41", "e21", "e13"]
+    shuffled = build_multigraph(fig1.vertices, [(e, ends) for e, (_, ends) in zip(ids, fig1.edges)])
+    for g in (reversed_fig1, shuffled):
+        assert g.edge_ids() != tuple(sorted(g.edge_ids()))
+        assert graded_faces(g).edge_order == tuple(sorted(g.edge_ids()))
 
 
 def test_grades_hold_every_forest_in_global_order(fig1, triangle, c211, theta, suite_graphs):
@@ -204,8 +210,21 @@ def test_sparse_ranks_match_dense(fig1, triangle, c211, theta, suite_graphs):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(g=connected_multigraphs(max_edges=8, max_rank=3))
+def test_face_oracle_ignores_input_order(g):
+    # the faces go by edge id, so reversing the edge list changes neither
+    # them nor anything the analysis reads off them
+    flipped = build_multigraph(g.vertices, reversed(g.edges))
+    assert graded_faces(g) == graded_faces(flipped)
+    report, flipped_report = run_analyze(g), run_analyze(flipped)
+    for invariant in ("facets", "f_vector", "euler"):
+        assert report.routes[invariant] == flipped_report.routes[invariant], invariant
+    assert report.betti == flipped_report.betti
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=8, max_rank=3))
 def test_homology_route_on_random_multigraphs(g):
-    # reaches graphs that are not uni-cyclic, whose faces use input order
+    # reaches graphs that are not uni-cyclic
     faces = graded_faces(g)
     assert faces.sizes() == bruteforce.forest_counts(g)
     profile = betti_from_faces(faces)

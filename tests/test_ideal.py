@@ -17,9 +17,9 @@ from spancomplex import (
 )
 from spancomplex.cli import main
 from spancomplex.ideal import _assert_bond, _assert_bridge_classes, render_decomposition
-from spancomplex.multigraph import edge_endpoint_indices
 
 import bruteforce
+from bruteforce import edge_endpoint_indices
 from conftest import FIXTURES, connected_multigraphs, layout_graph
 
 FIG1_COVERS = {

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 
 from spancomplex import build_multigraph, kernels
 from spancomplex.kernels import pyref
-from spancomplex.multigraph import edge_endpoint_indices
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
+from bruteforce import edge_endpoint_indices
 from conftest import (
     SIX_PENDANTS,
     connected_multigraphs,

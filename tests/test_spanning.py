@@ -16,10 +16,10 @@ from spancomplex import (
     parallel_classes,
     recognize_unicyclic,
 )
-from spancomplex.multigraph import edge_endpoint_indices
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
+from bruteforce import edge_endpoint_indices
 from conftest import connected_multigraphs, layout_graph, unicyclic_multigraphs
 
 # the fourteen spanning trees of the worked example, frozen
