@@ -5,6 +5,13 @@ the anti-drift harness that compares each closed form against its
 independent oracle and reports structured discrepancies.  Closed forms
 are skipped with a notice for graphs that are not uni-cyclic; oracle
 routes always run when the graph fits ``kernels.EDGE_BUDGET``.
+
+One forest enumeration (``graded_faces``) serves the facet, f-vector,
+Euler and Betti oracles.  The cover oracle reuses its spanning trees: a
+closed-form cover list that passes the blocker certificate against
+them (``ideal.certified_covers``) is the oracle's value, decoded from
+its masks, and the bond walk (``minimal_vertex_covers_generic``) runs
+only for a graph that is not uni-cyclic or a list that fails.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .fvector import (
 )
 from .homology import BettiProfile, betti_from_faces, euler_from_betti, graded_faces
 from .ideal import (
+    certified_covers,
     minimal_vertex_covers_closed_form,
     minimal_vertex_covers_generic,
     render_decomposition,
@@ -259,13 +267,23 @@ def run_analyze(
 
     if not no_oracle:
         faces = graded_faces(g)
+        ids = faces.edge_order[::-1]  # bit b of a face mask is the edge ids[b]
         # g is connected, so its largest forests are its spanning trees
-        routes["facets"]["generic"] = mask_edge_sets(faces.grades[-1], faces.edge_order[::-1])
+        trees = faces.grades[-1]
+        routes["facets"]["generic"] = mask_edge_sets(trees, ids)
         fv = routes["f_vector"]["bruteforce"] = FVector(faces.sizes())
         routes["euler"]["bruteforce"] = euler_characteristic(fv)
         report.betti = betti_from_faces(faces)
         routes["euler"]["betti"] = euler_from_betti(report.betti)
-        routes["covers"]["generic"] = minimal_vertex_covers_generic(g)
+        # the closed-form covers, certified against every tree, stand in
+        # for the bond walk, which runs when there are none or they fail
+        covers = None
+        if layout is not None:
+            closed = routes["covers"]["closed_form"]
+            covers = certified_covers(closed, trees, ids, g.n_vertices)
+        if covers is None:
+            covers = minimal_vertex_covers_generic(g)
+        routes["covers"]["generic"] = covers
         if report.dim is None:
             report.dim = fv.dim
 

@@ -2,23 +2,34 @@
 
 Vertices of the complex are the edges of the multigraph, so a vertex
 cover is an edge set meeting every spanning tree, which is one whose
-deletion disconnects the graph: the minimal covers are its bonds.  A
-bond holds every member of a parallel class or none, so the generic
-route walks the bonds on the class quotient with its bridge arcs
+deletion disconnects the graph: the minimal covers are its bonds, the
+blocker of the spanning trees.  Two routes check a cover list.
+
+``is_blocker`` certifies a list of edge masks against the complete list
+of spanning trees, completeness included, with one AND per (tree,
+cover) pair; ``certified_covers`` runs it on a closed-form list, for
+``analyze`` and ``verify`` on a uni-cyclic graph, whose trees the face
+oracle has already listed, and decodes the certified masks.
+
+The bond walk lists the bonds itself, for the graphs that are not
+uni-cyclic, for a closed-form list that fails the certificate, and for
+``covers``.  A bond holds every member of a parallel class or none, so
+it walks the bonds on the class quotient with its bridge arcs
 contracted (``kernels._contracted_quotient``), the structure that the
 tree lister branches on too.  Each class whose arc is a bridge of the
 quotient is a bond on its own and lies in no other bond; one component
 count certifies all of them at once, and each other bond is re-checked
-on the graph; the walk and both checks test connectivity with
-``kernels._flood``.
+on the graph, whose neighbour masks are built once per walk; the walk
+and both checks test connectivity with ``kernels._flood``.
 
 The facet ideal has one squarefree generator per facet and one minimal
 prime per minimal cover, so its generators are the spanning tree list
 and its primary decomposition is the cover list.
-``minimal_vertex_covers_generic`` lists the bonds alone, for ``analyze``,
-``verify`` and text ``covers``; ``facet_ideal_generic`` lists both from
-one contracted quotient, for ``covers --json``.  Both take the edges by
-id, so each bond is an edge mask that decodes already in order
+``minimal_vertex_covers_generic`` lists the bonds alone, for ``analyze``
+and ``verify`` where the certificate does not stand in, and for text
+``covers``; ``facet_ideal_generic`` lists both from one contracted
+quotient, for ``covers --json``.  Every route takes the edges by id, so
+each cover is an edge mask that decodes already in order
 (``multigraph.mask_edge_sets``); ``render_decomposition`` writes the
 cover list as an intersection of primes.
 """
@@ -61,6 +72,68 @@ def facet_ideal_generic(g: Multigraph) -> tuple[list[tuple[str, ...]], list[tupl
     return mask_edge_sets(kernels._tree_masks(quotient), ids), mask_edge_sets(bonds, ids)
 
 
+def certified_covers(covers, trees, ids, n_vertices: int) -> list[tuple[str, ...]] | None:
+    """The edge sets ``covers``, listed as ``minimal_vertex_covers_generic``
+    lists the bonds, when ``is_blocker`` proves them exactly the bonds of
+    the connected graph on ``n_vertices`` vertices whose spanning trees
+    are the edge masks ``trees``; else None.
+
+    Bit b of a mask is the edge ``ids[b]``, as ``id_ordered_indices``
+    lays them out.  The list is decoded from the certified masks
+    (``mask_edge_sets``), never passed through, so a list that holds the
+    right sets in another order differs from what comes back.
+    """
+    bit = {e: 1 << b for b, e in enumerate(ids)}
+    masks = []
+    for cover in covers:
+        m = 0
+        for e in cover:
+            m |= bit[e]
+        masks.append(m)
+    if not is_blocker(trees, masks, n_vertices - 1):
+        return None
+    return mask_edge_sets(masks, ids)
+
+
+def is_blocker(trees, covers: list[int], rank: int) -> bool:
+    """Whether the edge masks ``covers`` are exactly the bonds of a graph
+    whose spanning trees, of ``rank`` edges each, are the edge masks
+    ``trees``, all of them.
+
+    The minimal edge sets that meet every spanning tree are the bonds, so
+    the bonds are the blocker of the trees (Edmonds & Fulkerson,
+    "Bottleneck extrema", 1970; Oxley, *Matroid Theory*, §2.1).  For a
+    tree T and an edge e of T, exactly one bond C has T ∩ C = {e}, the
+    fundamental cocircuit of e, and every bond is fundamental for some
+    pair.  So the list is the bond list exactly when:
+
+    - every tree meets every listed set, so each one holds a bond;
+    - each edge e of each listed set C has a tree T with T ∩ C = {e},
+      so C without e misses a tree, and C is a bond;
+    - no set repeats, so no bond is counted twice;
+    - the (tree, set) pairs that meet in one edge number
+      ``len(trees) * rank``: one per fundamental cocircuit, so none is
+      missing.
+
+    One AND per (tree, set) pair checks all four.
+    """
+    if len(set(covers)) != len(covers):
+        return False
+    singles = 0
+    for c in covers:
+        witnessed = 0
+        for t in trees:
+            x = t & c
+            if not x:
+                return False
+            if not x & (x - 1):
+                witnessed |= x
+                singles += 1
+        if witnessed != c:
+            return False
+    return singles == len(trees) * rank
+
+
 def _bonds(quotient, n: int, us, vs, ids) -> list[int]:
     """Every bond of the connected graph on ``n`` vertices whose edge i
     joins ``us[i]`` and ``vs[i]``, as an edge mask, walked on its
@@ -78,8 +151,9 @@ def _bonds(quotient, n: int, us, vs, ids) -> list[int]:
     and a node with no neighbour left to decide is a bond, so the work is
     O(V·E) per bond.  The bridge classes are certified together
     (``_assert_bridge_classes``) and every core bond on its own
-    (``_assert_bond``), on the graph itself; ``ids`` names the edges in
-    their messages, sorted.
+    (``_assert_bond``), on the graph itself, whose neighbour masks are
+    built once for all of them; ``ids`` names the edges in their
+    messages, sorted.
     """
     members, bridges, core, cus, cvs, nbrs = quotient
     arcs = [sum(bits) for bits in members]
@@ -102,8 +176,9 @@ def _bonds(quotient, n: int, us, vs, ids) -> list[int]:
         elif excluded:
             cuts.append(sum(arcs[a] for a, x, y in zip(core, cus, cvs) if (s >> x ^ s >> y) & 1))
     _assert_bridge_classes(n, us, vs, classes, ids)
+    graph = _graph(n, us, vs)
     for cut in cuts:
-        _assert_bond(n, us, vs, cut, ids)
+        _assert_bond(n, us, vs, cut, ids, graph)
     return classes + cuts
 
 
@@ -117,37 +192,57 @@ def _assert_bridge_classes(n: int, us, vs, classes: list[int], ids) -> None:
     graph with ``len(classes)`` arcs on ``len(classes) + 1`` nodes: a
     tree, each of whose arcs is a bond.
     """
-    # the identity as ids reads each mask as its edge indices
-    for cls in mask_edge_sets(classes, range(len(us))):
-        if len({(min(us[e], vs[e]), max(us[e], vs[e])) for e in cls}) != 1:
-            raise AssertionError(f"{sorted(ids[e] for e in cls)} is not one parallel class")
+    for cls in classes:
+        if cls & (cls - 1) or not cls:  # one edge is one class
+            edges = kernels._set_bits(cls)
+            if len({(min(us[e], vs[e]), max(us[e], vs[e])) for e in edges}) != 1:
+                raise AssertionError(f"{sorted(ids[e] for e in edges)} is not one parallel class")
     nbrs = kernels._neighbour_masks(n, us, vs, removed=sum(classes))
     rest = (1 << n) - 1
     components = 0
-    while rest:
-        rest &= ~kernels._flood(nbrs, rest & -rest, -1)
+    while rest:  # from the highest vertex down, so ``rest`` narrows as it goes
+        rest ^= kernels._flood(nbrs, 1 << rest.bit_length() - 1, rest)
         components += 1
     if components != len(classes) + 1:
         named = [sorted(mask_edge_sets([cls], ids)[0]) for cls in classes]
         raise AssertionError(f"{named} leave {components} components, not {len(classes) + 1}")
 
 
-def _assert_bond(n: int, us, vs, cut: int, ids) -> None:
+def _graph(n: int, us, vs) -> tuple[list[int], list[int]]:
+    """The graph's neighbour masks, and for each edge the edge mask of its
+    parallel class, the edges that join its two ends, for ``_assert_bond``."""
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+    classes = {}
+    for e, pair in enumerate(pairs):
+        classes[pair] = classes.get(pair, 0) | 1 << e
+    return kernels._neighbour_masks(n, us, vs, removed=0), [classes[p] for p in pairs]
+
+
+def _assert_bond(n: int, us, vs, cut: int, ids, graph=None) -> None:
     """An edge set is a minimal disconnecting set exactly when deleting it
-    leaves two components and each of its edges joins them."""
-    nbrs = kernels._neighbour_masks(n, us, vs, removed=cut)
+    leaves two components and each of its edges joins them.
+
+    Deleting it clears, in the graph's neighbour masks (``graph``, built
+    by ``_graph`` when not given), only the vertex pairs whose every edge
+    it holds.
+    """
+    nbrs, parallel = graph or _graph(n, us, vs)
+    edges = kernels._set_bits(cut)
+    nbrs = nbrs[:]
+    for e in edges:
+        if not parallel[e] & ~cut:
+            u, v = us[e], vs[e]
+            nbrs[u] &= ~(1 << v)
+            nbrs[v] &= ~(1 << u)
     side = kernels._flood(nbrs, 1, -1)
     rest = (1 << n) - 1 & ~side
     if not rest or kernels._flood(nbrs, rest & -rest, -1) != rest:
         named = sorted(mask_edge_sets([cut], ids)[0])
         raise AssertionError(f"{named} does not leave exactly two components")
-    m = cut
-    while m:
-        e = m.bit_length() - 1
+    for e in edges:
         if not (side >> us[e] ^ side >> vs[e]) & 1:
             named = sorted(mask_edge_sets([cut], ids)[0])
             raise AssertionError(f"{named} is not minimal: {ids[e]} is redundant")
-        m ^= 1 << e
 
 
 def minimal_vertex_covers_closed_form(layout: UnicyclicLayout) -> list[tuple[str, ...]]:

@@ -17,9 +17,11 @@ members in afterwards.  The bond walk in ``ideal`` runs on the same
 contracted quotient and ORs each bond's arcs' member bits into one edge
 mask, so every generic cover list decodes as the trees do, and
 ``ideal.facet_ideal_generic`` builds the quotient once for the trees
-and the bonds.  ``bridge_mask`` finds the bridges by one
-depth-first search from the edge endpoints alone; recognition takes the
-quotient's non-bridge arcs as its cycle.
+and the bonds.  ``analyze`` walks the bonds only where no certified
+closed form stands in (``ideal.certified_covers``), so on a uni-cyclic
+graph it builds one quotient, in ``forest_grades``.  ``bridge_mask``
+finds the bridges by one depth-first search from the edge endpoints
+alone; recognition takes the quotient's non-bridge arcs as its cycle.
 
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
@@ -30,10 +32,11 @@ width; ``forest_grades`` checks the budget.
 ``_flood`` is the one connectivity test, for graph validation in
 ``multigraph``, the tree lister and the bonds in ``ideal``.
 ``_contracted_quotient`` builds its neighbour masks on the contracted
-vertices, and the bond checks on the whole graph, with
+vertices, and the bond checks on the whole graph, once per walk, with
 ``_neighbour_masks``; graph validation ORs them in while it checks the
-edges.  These helpers stay private, so the benchmark's tracer does not
-time every call.
+edges.  ``_set_bits`` lists a mask's set bits, so the bond checks walk
+the edges of a cut, not those of the graph.  These helpers stay
+private, so the benchmark's tracer does not time every call.
 
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps
@@ -331,13 +334,28 @@ def _root(comp, x):
 
 
 def _neighbour_masks(n: int, us, vs, removed: int) -> list[int]:
-    """Neighbour masks of the n vertices, without the edges of the mask ``removed``."""
+    """Neighbour masks of the n vertices, without the edges of the mask
+    ``removed``, whose set bits are listed once (``_set_bits``): the loop
+    over the edges makes no operation on a wide mask."""
+    gone = set(_set_bits(removed))
     nbrs = [0] * n
     for e, (u, v) in enumerate(zip(us, vs)):
-        if not removed >> e & 1:
+        if e not in gone:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
     return nbrs
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, highest first.  Clearing
+    the highest bit shrinks the mask, so each step costs the width left,
+    and a sparse mask of any width costs little."""
+    out = []
+    while mask:
+        b = mask.bit_length() - 1
+        out.append(b)
+        mask ^= 1 << b
+    return out
 
 
 def _flood(nbrs: list[int], seen: int, allowed: int) -> int:

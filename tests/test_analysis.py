@@ -5,21 +5,27 @@ from pathlib import Path
 import pytest
 
 import spancomplex
-from spancomplex import analysis, kernels, run_analyze
+from spancomplex import analysis, kernels, minimal_vertex_covers_generic, run_analyze
 from spancomplex.spanning import enumerate_spanning_trees_generic
 
 import bruteforce
 
 
-def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
     calls = []
-    forest_grades = kernels.forest_grades
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
-        return forest_grades(*args)
+        return real(*args)
 
-    monkeypatch.setattr(kernels, "forest_grades", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
+    calls = counted(monkeypatch, kernels, "forest_grades")
     report = run_analyze(fig1)
     assert len(calls) == 1
     assert not report.discrepancies
@@ -29,16 +35,27 @@ def test_run_analyze_enumerates_forests_once(monkeypatch, fig1):
 def test_run_analyze_recognizes_once(request, monkeypatch, name):
     # theta is not uni-cyclic: recognizing it raises, and must not be retried
     g = request.getfixturevalue(name)
-    calls = []
-    recognize = analysis.recognize_unicyclic
-
-    def counting(graph):
-        calls.append(graph)
-        return recognize(graph)
-
-    monkeypatch.setattr(analysis, "recognize_unicyclic", counting)
+    calls = counted(monkeypatch, analysis, "recognize_unicyclic")
     report = run_analyze(g)
-    assert calls == [g]
+    assert calls == [(g,)]
+    assert not report.discrepancies
+
+
+def test_run_analyze_certifies_the_closed_form_covers(monkeypatch, fig1):
+    # no bond walk, and one class quotient: the face oracle's
+    walks = counted(monkeypatch, analysis, "minimal_vertex_covers_generic")
+    quotients = counted(monkeypatch, kernels, "_quotient")
+    report = run_analyze(fig1)
+    assert (len(walks), len(quotients)) == (0, 1)
+    assert not report.discrepancies
+    monkeypatch.undo()
+    assert report.routes["covers"]["generic"] == minimal_vertex_covers_generic(fig1)
+
+
+def test_run_analyze_walks_the_bonds_of_other_graphs(monkeypatch, theta):
+    walks = counted(monkeypatch, analysis, "minimal_vertex_covers_generic")
+    report = run_analyze(theta)
+    assert walks == [(theta,)]
     assert not report.discrepancies
 
 

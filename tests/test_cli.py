@@ -469,6 +469,20 @@ def _first_two_plus_one(route):
     return lambda *args: FVector(((f := route(*args).counts)[0] + 1, f[1] + 1) + f[2:])
 
 
+def _first_plus_edge(route):
+    # the first set gains the smallest edge of the others that it lacks
+    def planted(*args):
+        first, *rest = route(*args)
+        extra = min(e for c in rest for e in c if e not in first)
+        return [tuple(sorted(first + (extra,)))] + rest
+
+    return planted
+
+
+def _first_repeated(route):
+    return lambda *args: (sets := route(*args)) + sets[:1]
+
+
 # one wrong route in the analysis, and the one check that must catch it
 PLANTS = [
     ("enumerate_spanning_trees_layout", _drop_last, "facets:closed-form-vs-generic"),
@@ -476,11 +490,22 @@ PLANTS = [
     ("closed_form_tail", _last_plus_one, "fvector:tail-zero"),
     ("f_vector_closed_form", _first_two_plus_one, "fvector:closed-form-vs-bruteforce"),
     ("minimal_vertex_covers_closed_form", _drop_last, "covers:closed-form-vs-generic"),
+    ("minimal_vertex_covers_closed_form", _first_plus_edge, "covers:closed-form-vs-generic"),
+    ("minimal_vertex_covers_closed_form", _first_repeated, "covers:closed-form-vs-generic"),
     ("euler_from_betti", _plus_one, "euler:all-routes-agree"),
 ]
 
 
-@pytest.mark.parametrize("route, plant, check", PLANTS, ids=[p[2] for p in PLANTS])
+def _plant_ids(plants):
+    """Each plant's test id: its check, with the plant's name after the
+    first plant of that check."""
+    ids = []
+    for _, plant, check in plants:
+        ids.append(f"{check}/{plant.__name__.strip('_')}" if check in ids else check)
+    return ids
+
+
+@pytest.mark.parametrize("route, plant, check", PLANTS, ids=_plant_ids(PLANTS))
 def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
     real, outputs = getattr(analysis, route), []
 
@@ -504,6 +529,11 @@ def test_planted_discrepancy_exits_1(capsys, monkeypatch, route, plant, check):
         assert record["actual"] == []
     if plant is _first_two_plus_one:
         assert (record["expected"], record["actual"]) == (["7", "17", "14"], ["8", "18", "14"])
+    # the certificate rejects these lists, and the bond walk's list is expected
+    if plant is _first_plus_edge:
+        assert (record["expected"], record["actual"]) == ([["e21", "e31"]], [["e11", "e21", "e31"]])
+    if plant is _first_repeated:
+        assert (record["expected"], record["actual"]) == ([], [["e21", "e31"]])
     code, out, _ = run_cli(capsys, "analyze", FIG1)
     assert code == 1
     fail_line = f"  FAIL {check}: expected {record['expected']}, got {record['actual']}"

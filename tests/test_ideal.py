@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,18 @@ from spancomplex import (
     recognize_unicyclic,
     run_analyze,
 )
+from spancomplex import kernels
 from spancomplex.cli import main
-from spancomplex.ideal import _assert_bond, _assert_bridge_classes, render_decomposition
+from spancomplex.homology import graded_faces
+from spancomplex.ideal import (
+    _assert_bond,
+    _assert_bridge_classes,
+    _bonds,
+    certified_covers,
+    is_blocker,
+    render_decomposition,
+)
+from spancomplex.multigraph import id_ordered_indices
 
 import bruteforce
 from bruteforce import edge_endpoint_indices
@@ -157,6 +168,53 @@ def test_facet_ideal_lists_the_trees_and_the_input_order_bonds(g):
     generators, components = facet_ideal_generic(g)
     assert generators == enumerate_spanning_trees_generic(g)
     assert components == minimal_vertex_covers_generic(g)
+
+
+def walk_masks(g):
+    """The bond walk's edge masks, in the layout of ``graded_faces``."""
+    us, vs, ids = id_ordered_indices(g)
+    return _bonds(kernels._contracted_quotient(us, vs, g.n_vertices), g.n_vertices, us, vs, ids)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=10, max_rank=3))
+def test_blocker_certificate_accepts_the_bonds_and_nothing_near_them(g):
+    trees = list(graded_faces(g).grades[-1])
+    rank = g.n_vertices - 1
+    bonds = walk_masks(g)
+    assert is_blocker(trees, bonds, rank)
+    assert not is_blocker(trees, bonds[1:], rank)  # a bond dropped
+    assert not is_blocker(trees, bonds + bonds[-1:], rank)  # a bond repeated
+    for c1, c2 in combinations(bonds, 2):
+        assert not is_blocker(trees, bonds + [c1 | c2], rank)  # a union of two added
+    for i, c in enumerate(bonds):
+        others = bonds[:i] + bonds[i + 1 :]
+        for e in range(g.n_edges):
+            # the bond with one edge added, or with one edge removed
+            assert not is_blocker(trees, others + [c ^ 1 << e], rank)
+
+
+def test_blocker_certificate_needs_each_of_its_four_conditions(triangle):
+    trees = list(graded_faces(triangle).grades[-1])
+    a, b, c = bonds = walk_masks(triangle)  # the three edge pairs
+    assert is_blocker(trees, bonds, 2)
+    # each list fails exactly one condition
+    assert not is_blocker(trees, [a & -a, b, c], 2)  # {e} misses the tree of the others
+    assert not is_blocker(trees, [a, b, c, a | b], 2)  # a | b has no single-edge witness
+    assert not is_blocker(trees, [a, b, a], 2)  # a repeats; its pairs stand in for c's
+    assert not is_blocker(trees, [a, b], 2)  # 4 single-edge pairs, not 3 * 2
+
+
+def test_certified_covers_are_decoded_from_their_masks(fig1):
+    faces = graded_faces(fig1)
+    ids = faces.edge_order[::-1]
+    covers = minimal_vertex_covers_closed_form(recognize_unicyclic(fig1))
+    walked = minimal_vertex_covers_generic(fig1)
+    assert certified_covers(covers, faces.grades[-1], ids, fig1.n_vertices) == walked
+    # the right sets in another order come back in the walk's order
+    certified = certified_covers(covers[::-1], faces.grades[-1], ids, fig1.n_vertices)
+    assert certified == walked != covers[::-1]
+    assert certified_covers(covers[1:], faces.grades[-1], ids, fig1.n_vertices) is None
 
 
 def test_closed_form_covers_fig1(fig1):

@@ -25,7 +25,7 @@ from spancomplex import (
     recognize_unicyclic,
 )
 from spancomplex import randomgraphs
-from spancomplex.multigraph import _quotient_cycle
+from spancomplex.multigraph import _quotient_cycle, edge_sets, id_ordered_indices, mask_edge_sets
 from spancomplex.randomgraphs import random_suite
 
 import bruteforce
@@ -281,6 +281,21 @@ def test_recognition_finds_the_quotient_cycle(g):
     for c, d in zip(walk, walk[1:] + walk[:1]):
         assert set(c.endpoints) & set(d.endpoints)
     assert sorted(lay.canonical_labels()) == sorted(g.edge_ids())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mask_edge_sets_lists_in_edge_sets_order(data):
+    # ids of any length in an input order of their own: a path in that order
+    names = st.text("ab1", min_size=1, max_size=3)
+    ids = data.draw(st.lists(names, min_size=1, max_size=8, unique=True))
+    vertices = [f"v{i}" for i in range(len(ids) + 1)]
+    g = build_multigraph(vertices, [(e, (vertices[i], vertices[i + 1])) for i, e in enumerate(ids)])
+    _, _, layout = id_ordered_indices(g)
+    bit = {e: 1 << b for b, e in enumerate(layout)}
+    sets = data.draw(st.lists(st.sets(st.sampled_from(ids)), max_size=12))
+    masks = [sum(bit[e] for e in s) for s in sets]
+    assert mask_edge_sets(masks, layout) == edge_sets(sets)
 
 
 VALID_DOC = """
