@@ -280,7 +280,7 @@ def run_analyze(
         covers = None
         if layout is not None:
             closed = routes["covers"]["closed_form"]
-            covers = certified_covers(closed, trees, ids, g.n_vertices)
+            covers = certified_covers(closed, trees, ids)
         if covers is None:
             covers = minimal_vertex_covers_generic(g)
         routes["covers"]["generic"] = covers

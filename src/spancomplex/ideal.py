@@ -6,21 +6,24 @@ deletion disconnects the graph: the minimal covers are its bonds, the
 blocker of the spanning trees.  Two routes check a cover list.
 
 ``is_blocker`` certifies a list of edge masks against the complete list
-of spanning trees, completeness included, with one AND per (tree,
-cover) pair; ``certified_covers`` runs it on a closed-form list, for
-``analyze`` and ``verify`` on a uni-cyclic graph, whose trees the face
-oracle has already listed, and decodes the certified masks.
+of spanning trees alone, completeness included, with one AND per (tree,
+cover) pair; the rank is read off the trees.  ``certified_covers`` runs
+it on a closed-form list, for ``analyze`` and ``verify`` on a uni-cyclic
+graph, whose trees the face oracle has already listed, and decodes the
+certified masks.
 
 The bond walk lists the bonds itself, for the graphs that are not
 uni-cyclic, for a closed-form list that fails the certificate, and for
 ``covers``.  A bond holds every member of a parallel class or none, so
 it walks the bonds on the class quotient with its bridge arcs
 contracted (``kernels._contracted_quotient``), the structure that the
-tree lister branches on too.  Each class whose arc is a bridge of the
-quotient is a bond on its own and lies in no other bond; one component
-count certifies all of them at once, and each other bond is re-checked
-on the graph, whose neighbour masks are built once per walk; the walk
-and both checks test connectivity with ``kernels._flood``.
+tree lister branches on too, and carries each cut's edge mask as it
+grows one side.  Each class whose arc is a bridge of the quotient is a
+bond on its own and lies in no other bond; one component count
+certifies all of them at once, and each other bond is re-checked on its
+own.  Both checks read one view of the graph, its neighbour masks and
+each edge's parallel class (``_graph``), built once per walk, and test
+connectivity with ``kernels._flood``.
 
 The facet ideal has one squarefree generator per facet and one minimal
 prime per minimal cover, so its generators are the spanning tree list
@@ -72,11 +75,11 @@ def facet_ideal_generic(g: Multigraph) -> tuple[list[tuple[str, ...]], list[tupl
     return mask_edge_sets(kernels._tree_masks(quotient), ids), mask_edge_sets(bonds, ids)
 
 
-def certified_covers(covers, trees, ids, n_vertices: int) -> list[tuple[str, ...]] | None:
+def certified_covers(covers, trees, ids) -> list[tuple[str, ...]] | None:
     """The edge sets ``covers``, listed as ``minimal_vertex_covers_generic``
     lists the bonds, when ``is_blocker`` proves them exactly the bonds of
-    the connected graph on ``n_vertices`` vertices whose spanning trees
-    are the edge masks ``trees``; else None.
+    the connected graph whose spanning trees are the edge masks ``trees``;
+    else None.
 
     Bit b of a mask is the edge ``ids[b]``, as ``id_ordered_indices``
     lays them out.  The list is decoded from the certified masks
@@ -84,21 +87,16 @@ def certified_covers(covers, trees, ids, n_vertices: int) -> list[tuple[str, ...
     right sets in another order differs from what comes back.
     """
     bit = {e: 1 << b for b, e in enumerate(ids)}
-    masks = []
-    for cover in covers:
-        m = 0
-        for e in cover:
-            m |= bit[e]
-        masks.append(m)
-    if not is_blocker(trees, masks, n_vertices - 1):
+    # the sum of a set of distinct bits is their OR, a repeated edge counted once
+    masks = [sum({bit[e] for e in cover}) for cover in covers]
+    if not is_blocker(trees, masks):
         return None
     return mask_edge_sets(masks, ids)
 
 
-def is_blocker(trees, covers: list[int], rank: int) -> bool:
+def is_blocker(trees, covers: list[int]) -> bool:
     """Whether the edge masks ``covers`` are exactly the bonds of a graph
-    whose spanning trees, of ``rank`` edges each, are the edge masks
-    ``trees``, all of them.
+    whose spanning trees are the edge masks ``trees``, all of them.
 
     The minimal edge sets that meet every spanning tree are the bonds, so
     the bonds are the blocker of the trees (Edmonds & Fulkerson,
@@ -111,11 +109,12 @@ def is_blocker(trees, covers: list[int], rank: int) -> bool:
     - each edge e of each listed set C has a tree T with T ∩ C = {e},
       so C without e misses a tree, and C is a bond;
     - no set repeats, so no bond is counted twice;
-    - the (tree, set) pairs that meet in one edge number
-      ``len(trees) * rank``: one per fundamental cocircuit, so none is
+    - the (tree, set) pairs that meet in one edge are as many as the
+      trees have edges in all: one per fundamental cocircuit, so none is
       missing.
 
-    One AND per (tree, set) pair checks all four.
+    One AND per (tree, set) pair checks all four; the rank is read off
+    the trees.
     """
     if len(set(covers)) != len(covers):
         return False
@@ -131,7 +130,7 @@ def is_blocker(trees, covers: list[int], rank: int) -> bool:
                 singles += 1
         if witnessed != c:
             return False
-    return singles == len(trees) * rank
+    return singles == sum(t.bit_count() for t in trees)
 
 
 def _bonds(quotient, n: int, us, vs, ids) -> list[int]:
@@ -149,56 +148,64 @@ def _bonds(quotient, n: int, us, vs, ids) -> list[int]:
     & Ariyoshi, JACM 1980).  A branch is kept only while every excluded
     vertex lies in one component of G − S.  One branch always passes,
     and a node with no neighbour left to decide is a bond, so the work is
-    O(V·E) per bond.  The bridge classes are certified together
-    (``_assert_bridge_classes``) and every core bond on its own
-    (``_assert_bond``), on the graph itself, whose neighbour masks are
-    built once for all of them; ``ids`` names the edges in their
-    messages, sorted.
+    O(V·E) per bond.  Each branch carries δ(S) as an edge mask: ``star[x]``
+    is the XOR of the member bits of the core arcs at vertex x, and x
+    joining S XORs it in, so the arcs inside S cancel.
+
+    Both checks read one view of the graph itself (``_graph``): the
+    bridge classes are certified together (``_assert_bridge_classes``)
+    and every core bond on its own (``_assert_bond``); ``ids`` names the
+    edges in their messages, sorted.
     """
     members, bridges, core, cus, cvs, nbrs = quotient
     arcs = [sum(bits) for bits in members]
     classes = [arcs[a] for a in range(len(arcs)) if bridges >> a & 1]
+    star = [0] * len(nbrs)
+    for a, x, y in zip(core, cus, cvs):
+        star[x] ^= arcs[a]
+        star[y] ^= arcs[a]
 
     def one_component(s: int, excluded: int) -> bool:
         return not excluded & ~kernels._flood(nbrs, excluded & -excluded, ~s)
 
     cuts = []
-    stack = [(1, nbrs[0], 0)]  # (S, its neighbours, excluded), as vertex masks
+    stack = [(1, nbrs[0], 0, star[0])]  # S, its neighbours, excluded as vertex masks; δ(S)
     while stack:
-        s, reach, excluded = stack.pop()
+        s, reach, excluded, cut = stack.pop()
         candidates = reach & ~s & ~excluded
         if candidates:
             u = candidates & -candidates
             if one_component(s, excluded | u):
-                stack.append((s, reach, excluded | u))
+                stack.append((s, reach, excluded | u, cut))
             if one_component(s | u, excluded):
-                stack.append((s | u, reach | nbrs[u.bit_length() - 1], excluded))
+                x = u.bit_length() - 1
+                stack.append((s | u, reach | nbrs[x], excluded, cut ^ star[x]))
         elif excluded:
-            cuts.append(sum(arcs[a] for a, x, y in zip(core, cus, cvs) if (s >> x ^ s >> y) & 1))
-    _assert_bridge_classes(n, us, vs, classes, ids)
+            cuts.append(cut)
     graph = _graph(n, us, vs)
+    _assert_bridge_classes(us, vs, classes, ids, graph)
     for cut in cuts:
-        _assert_bond(n, us, vs, cut, ids, graph)
+        _assert_bond(us, vs, cut, ids, graph)
     return classes + cuts
 
 
-def _assert_bridge_classes(n: int, us, vs, classes: list[int], ids) -> None:
+def _assert_bridge_classes(us, vs, classes: list[int], ids, graph) -> None:
     """Certify that every edge mask in ``classes`` is a bond, all at once.
 
-    Each set must be one parallel class, its edges joining one vertex
-    pair, and deleting all the sets from the connected graph must leave
+    Each set must lie in one parallel class (``graph``, from ``_graph``),
+    and deleting all the sets from the connected graph must leave
     exactly ``len(classes) + 1`` components, counted with one flood per
     component.  Contracting those components then leaves a connected
     graph with ``len(classes)`` arcs on ``len(classes) + 1`` nodes: a
     tree, each of whose arcs is a bond.
     """
+    nbrs, parallel = graph
     for cls in classes:
-        if cls & (cls - 1) or not cls:  # one edge is one class
-            edges = kernels._set_bits(cls)
-            if len({(min(us[e], vs[e]), max(us[e], vs[e])) for e in edges}) != 1:
-                raise AssertionError(f"{sorted(ids[e] for e in edges)} is not one parallel class")
-    nbrs = kernels._neighbour_masks(n, us, vs, removed=sum(classes))
-    rest = (1 << n) - 1
+        if not cls or cls & ~parallel[cls.bit_length() - 1]:
+            named = sorted(mask_edge_sets([cls], ids)[0])
+            raise AssertionError(f"{named} is not one parallel class")
+    nbrs = kernels._neighbour_masks(len(nbrs), us, vs, removed=sum(classes))
+    rest = (1 << len(nbrs)) - 1
     components = 0
     while rest:  # from the highest vertex down, so ``rest`` narrows as it goes
         rest ^= kernels._flood(nbrs, 1 << rest.bit_length() - 1, rest)
@@ -210,7 +217,8 @@ def _assert_bridge_classes(n: int, us, vs, classes: list[int], ids) -> None:
 
 def _graph(n: int, us, vs) -> tuple[list[int], list[int]]:
     """The graph's neighbour masks, and for each edge the edge mask of its
-    parallel class, the edges that join its two ends, for ``_assert_bond``."""
+    parallel class, the edges that join its two ends: the one view of the
+    graph that both bond checks read."""
     pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
     classes = {}
     for e, pair in enumerate(pairs):
@@ -218,15 +226,14 @@ def _graph(n: int, us, vs) -> tuple[list[int], list[int]]:
     return kernels._neighbour_masks(n, us, vs, removed=0), [classes[p] for p in pairs]
 
 
-def _assert_bond(n: int, us, vs, cut: int, ids, graph=None) -> None:
+def _assert_bond(us, vs, cut: int, ids, graph) -> None:
     """An edge set is a minimal disconnecting set exactly when deleting it
     leaves two components and each of its edges joins them.
 
-    Deleting it clears, in the graph's neighbour masks (``graph``, built
-    by ``_graph`` when not given), only the vertex pairs whose every edge
-    it holds.
+    Deleting it clears, in the graph's neighbour masks (``graph``, from
+    ``_graph``), only the vertex pairs whose every edge it holds.
     """
-    nbrs, parallel = graph or _graph(n, us, vs)
+    nbrs, parallel = graph
     edges = kernels._set_bits(cut)
     nbrs = nbrs[:]
     for e in edges:
@@ -235,7 +242,7 @@ def _assert_bond(n: int, us, vs, cut: int, ids, graph=None) -> None:
             nbrs[u] &= ~(1 << v)
             nbrs[v] &= ~(1 << u)
     side = kernels._flood(nbrs, 1, -1)
-    rest = (1 << n) - 1 & ~side
+    rest = (1 << len(nbrs)) - 1 & ~side
     if not rest or kernels._flood(nbrs, rest & -rest, -1) != rest:
         named = sorted(mask_edge_sets([cut], ids)[0])
         raise AssertionError(f"{named} does not leave exactly two components")

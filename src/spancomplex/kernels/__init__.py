@@ -7,21 +7,15 @@ over the parallel classes: ``_quotient`` builds the class quotient, one
 arc per class, and marks its bridge arcs, the classes on no cycle.
 ``forest_grades`` lists every face of the complex by size, each size
 sorted in descending mask order: it walks only the quotient's other
-arcs, one edge per arc, and expands the other parallel members and the
-bridge classes afterwards.  ``spanning_tree_masks`` lists only the
-facets, the spanning trees, with no detour through the other forests,
-in two steps: ``_contracted_quotient`` builds the quotient with its
-bridge arcs contracted (``contract_bridges``), and ``_tree_masks``
-branches on the arcs left, one edge per arc, and swaps the other
-members in afterwards.  The bond walk in ``ideal`` runs on the same
-contracted quotient and ORs each bond's arcs' member bits into one edge
-mask, so every generic cover list decodes as the trees do, and
-``ideal.facet_ideal_generic`` builds the quotient once for the trees
-and the bonds.  ``analyze`` walks the bonds only where no certified
-closed form stands in (``ideal.certified_covers``), so on a uni-cyclic
-graph it builds one quotient, in ``forest_grades``.  ``bridge_mask``
+arcs, one edge per arc, and adds the bridge classes' edges afterwards.
+``spanning_tree_masks`` lists only the facets, the spanning trees, with
+no detour through the other forests, in two steps:
+``_contracted_quotient`` builds the quotient with its bridge arcs
+contracted (``contract_bridges``), and ``_tree_masks`` branches on the
+arcs left, one edge per arc.  Both listers take one member of each
+class and swap the others in by one step, ``_swap_in``.  ``bridge_mask``
 finds the bridges by one depth-first search from the edge endpoints
-alone; recognition takes the quotient's non-bridge arcs as its cycle.
+alone.
 
 ``EDGE_BUDGET`` is the one enumeration limit: ``require_budget`` gates
 every enumeration stage by its edge count, and nothing sets it.  A
@@ -29,14 +23,10 @@ pendant edge doubles the faces to list, so larger graphs take the closed
 forms alone (``analyze --no-oracle``).  A tree mask is an int of any
 width; ``forest_grades`` checks the budget.
 
-``_flood`` is the one connectivity test, for graph validation in
-``multigraph``, the tree lister and the bonds in ``ideal``.
-``_contracted_quotient`` builds its neighbour masks on the contracted
-vertices, and the bond checks on the whole graph, once per walk, with
-``_neighbour_masks``; graph validation ORs them in while it checks the
-edges.  ``_set_bits`` lists a mask's set bits, so the bond checks walk
-the edges of a cut, not those of the graph.  These helpers stay
-private, so the benchmark's tracer does not time every call.
+``_flood`` is the one connectivity test, on neighbour masks that
+``_neighbour_masks`` builds; ``_set_bits`` lists a mask's set bits, so a
+caller can walk the edges of a sparse mask of any width.  These helpers
+stay private, so the benchmark's tracer does not time every call.
 
 ``pyref`` holds only ``matrix_rank``, the tests' dense reference rank.
 It stays because the benchmark's tracer (``perfbench/spans.py``) wraps
@@ -87,11 +77,8 @@ def forest_grades(us, vs, n_vertices):
     )
     # the other core members first, before the bridge classes multiply
     # the grades they must scan
-    for a in core:
-        b0, *others = members[a]
-        if others:
-            for gr in grades:
-                gr += [m ^ b0 | b for m in gr if m & b0 for b in others]
+    for gr in grades:
+        _swap_in(gr, [members[a] for a in core])
     for a in range(len(members)):
         if bridges >> a & 1:
             # none or one member: grade k + 1 gains grade k with one more edge
@@ -168,7 +155,7 @@ def _tree_masks(quotient):
     A tree takes one member of each parallel class, and one of every
     class whose arc is a bridge of the class quotient, so the lister
     branches only on the core arcs, one highest member per arc, and
-    swaps the other members in afterwards, as ``forest_grades`` does.
+    swaps the other members in afterwards (``_swap_in``).
     Only spanning trees are visited, not every forest (Read & Tarjan,
     "Bounds on backtrack algorithms for listing cycles, paths, and
     spanning trees", 1975).
@@ -191,10 +178,8 @@ def _tree_masks(quotient):
     # suffix union-finds against 25,343
     core, cus, cvs = core[::-1], cus[::-1], cvs[::-1]
     bits = [members[a][0] for a in core]
-    held = 0  # every tree holds a member of each bridge class
-    for a in range(len(members)):
-        if bridges >> a & 1:
-            held |= members[a][0]
+    # every tree holds a member of each bridge class
+    held = sum(members[a][0] for a in range(len(members)) if bridges >> a & 1)
     parent = list(range(k))
     out = []
     # (i, mask, need, ru, rv); ru >= 0 marks the undo entry of the union ru -> rv
@@ -222,10 +207,18 @@ def _tree_masks(quotient):
                 parent[ru] = rv
                 stack.append((i, mask, need, ru, rv))
                 stack.append((i + 1, mask | bits[i], need - 1, -1, -1))
-    for b0, *others in members:
-        if others:
-            out += [m ^ b0 | b for m in out if m & b0 for b in others]
+    _swap_in(out, members)
     return out
+
+
+def _swap_in(masks, classes):
+    """Extend ``masks``, for each class of edge bits in ``classes`` in
+    turn, with every mask that holds the class's first bit, that bit
+    swapped for each other member: the one member swap-in of both
+    listers, which branch on one member per class."""
+    for b0, *others in classes:
+        if others:
+            masks += [m ^ b0 | b for m in masks if m & b0 for b in others]
 
 
 def _quotient(us, vs, n_vertices):

@@ -23,6 +23,7 @@ from spancomplex.ideal import (
     _assert_bond,
     _assert_bridge_classes,
     _bonds,
+    _graph,
     certified_covers,
     is_blocker,
     render_decomposition,
@@ -110,7 +111,8 @@ def test_bond_check_rejects_non_bonds(fig1):
     ids = fig1.edge_ids()
 
     def check(*cut):
-        _assert_bond(fig1.n_vertices, us, vs, sum(1 << ids.index(e) for e in cut), ids)
+        mask = sum(1 << ids.index(e) for e in cut)
+        _assert_bond(us, vs, mask, ids, _graph(fig1.n_vertices, us, vs))
 
     check("e41", "e42")
     check("e11", "e12", "e13", "e31")
@@ -130,9 +132,8 @@ def test_bridge_class_check_rejects_non_bridge_classes():
     ids = g.edge_ids()
 
     def check(*classes):
-        _assert_bridge_classes(
-            g.n_vertices, us, vs, [sum(1 << ids.index(e) for e in c) for c in classes], ids
-        )
+        masks = [sum(1 << ids.index(e) for e in c) for c in classes]
+        _assert_bridge_classes(us, vs, masks, ids, _graph(g.n_vertices, us, vs))
 
     bridges = (["b0_0", "b0_1"], ["b1_0", "b1_1"], ["b2_0"])
     check(*bridges)
@@ -150,6 +151,9 @@ def test_bridge_class_check_rejects_non_bridge_classes():
     # deleting both leaves two components, but c1_0 is redundant: not one class
     with pytest.raises(AssertionError, match=re.escape("['b2_0', 'c1_0'] is not one parallel class")):
         check(["b2_0", "c1_0"])
+    # an empty mask holds no class at all
+    with pytest.raises(AssertionError, match=re.escape("[] is not one parallel class")):
+        check(*bridges, [])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -180,29 +184,55 @@ def walk_masks(g):
 @given(g=connected_multigraphs(max_edges=10, max_rank=3))
 def test_blocker_certificate_accepts_the_bonds_and_nothing_near_them(g):
     trees = list(graded_faces(g).grades[-1])
-    rank = g.n_vertices - 1
     bonds = walk_masks(g)
-    assert is_blocker(trees, bonds, rank)
-    assert not is_blocker(trees, bonds[1:], rank)  # a bond dropped
-    assert not is_blocker(trees, bonds + bonds[-1:], rank)  # a bond repeated
+    assert is_blocker(trees, bonds)
+    assert not is_blocker(trees, bonds[1:])  # a bond dropped
+    assert not is_blocker(trees, bonds + bonds[-1:])  # a bond repeated
     for c1, c2 in combinations(bonds, 2):
-        assert not is_blocker(trees, bonds + [c1 | c2], rank)  # a union of two added
+        assert not is_blocker(trees, bonds + [c1 | c2])  # a union of two added
     for i, c in enumerate(bonds):
         others = bonds[:i] + bonds[i + 1 :]
         for e in range(g.n_edges):
             # the bond with one edge added, or with one edge removed
-            assert not is_blocker(trees, others + [c ^ 1 << e], rank)
+            assert not is_blocker(trees, others + [c ^ 1 << e])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=10, max_rank=3))
+def test_blocker_certificate_ignores_the_tree_order(g):
+    trees = list(graded_faces(g).grades[-1])
+    bonds = walk_masks(g)
+    near = [bonds, bonds[1:], bonds + bonds[-1:], bonds[:-1] + [bonds[-1] ^ 1]]
+    for covers in near:
+        assert is_blocker(trees[::-1], covers) == is_blocker(trees, covers)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_multigraphs(max_edges=10, max_rank=3))
+def test_bond_walk_masks_are_the_cuts_of_their_sides(g):
+    us, vs, _ = id_ordered_indices(g)
+    edges = list(enumerate(zip(us, vs)))
+    for mask in walk_masks(g):
+        # S, the side of vertex 0, grown edge by edge over the edges not in the mask
+        side, grown = {0}, True
+        while grown:
+            grown = False
+            for e, (u, v) in edges:
+                if not mask >> e & 1 and (u in side) != (v in side):
+                    side |= {u, v}
+                    grown = True
+        assert mask == sum(1 << e for e, (u, v) in edges if (u in side) != (v in side))
 
 
 def test_blocker_certificate_needs_each_of_its_four_conditions(triangle):
     trees = list(graded_faces(triangle).grades[-1])
     a, b, c = bonds = walk_masks(triangle)  # the three edge pairs
-    assert is_blocker(trees, bonds, 2)
+    assert is_blocker(trees, bonds)
     # each list fails exactly one condition
-    assert not is_blocker(trees, [a & -a, b, c], 2)  # {e} misses the tree of the others
-    assert not is_blocker(trees, [a, b, c, a | b], 2)  # a | b has no single-edge witness
-    assert not is_blocker(trees, [a, b, a], 2)  # a repeats; its pairs stand in for c's
-    assert not is_blocker(trees, [a, b], 2)  # 4 single-edge pairs, not 3 * 2
+    assert not is_blocker(trees, [a & -a, b, c])  # {e} misses the tree of the others
+    assert not is_blocker(trees, [a, b, c, a | b])  # a | b has no single-edge witness
+    assert not is_blocker(trees, [a, b, a])  # a repeats; its pairs stand in for c's
+    assert not is_blocker(trees, [a, b])  # 4 single-edge pairs, not 3 * 2
 
 
 def test_certified_covers_are_decoded_from_their_masks(fig1):
@@ -210,11 +240,11 @@ def test_certified_covers_are_decoded_from_their_masks(fig1):
     ids = faces.edge_order[::-1]
     covers = minimal_vertex_covers_closed_form(recognize_unicyclic(fig1))
     walked = minimal_vertex_covers_generic(fig1)
-    assert certified_covers(covers, faces.grades[-1], ids, fig1.n_vertices) == walked
+    assert certified_covers(covers, faces.grades[-1], ids) == walked
     # the right sets in another order come back in the walk's order
-    certified = certified_covers(covers[::-1], faces.grades[-1], ids, fig1.n_vertices)
+    certified = certified_covers(covers[::-1], faces.grades[-1], ids)
     assert certified == walked != covers[::-1]
-    assert certified_covers(covers[1:], faces.grades[-1], ids, fig1.n_vertices) is None
+    assert certified_covers(covers[1:], faces.grades[-1], ids) is None
 
 
 def test_closed_form_covers_fig1(fig1):
