@@ -13,11 +13,15 @@ pass per layout (``_terms``, cached for the last layout): the terms up
 to the dimension are the f-vector, and the rest must vanish.
 ``closed_form_terms``, ``f_vector_closed_form`` and ``closed_form_tail``
 are slices of that pass.  Its double sums are evaluated in swapped
-order, with the outer loop over the summation index l and the inner loop
-over the dimension i.  Its binomials are not computed term by term: each
-column C(N - l, p - l) follows from the column for l - 1 by Pascal's
-rule, with one ``math.comb`` at its top, and the column for l = 0 is
-walked by C(N, q+1) = C(N, q)(N - q)/(q + 1).
+order, the sum over j inside the sum over l, and each l sum is taken
+for every dimension i at once.  Its binomials are not computed term by
+term.  The l sum of a block, sum_l c_l C(N - l, p - l) for every p, is
+one polynomial, t (1+t)^s H(t), with s the block's single edges.  H is
+built by Horner's rule over (1 + t), Pascal's rule applied to all its
+coefficients at once in one packed integer (Kronecker substitution); the
+row (1+t)^s then multiplies it as one convolution.  The row and the
+column for l = 0 are each walked by C(a, q+1) = C(a, q)(a - q)/(q + 1)
+from one ``math.comb``.
 """
 
 from __future__ import annotations
@@ -105,27 +109,49 @@ def _lift(weights: list[int], top: int) -> list[int]:
 def _pascal_sums(base: int, coeffs: list[int], lo: int, hi: int) -> tuple[list[int], list[int]]:
     """C(base, q) and sum_{l>=1} coeffs[l] C(base-l, q-l), for q = lo..hi-1.
 
-    ``coeffs`` comes from ``_lift``, so coeffs[1] = 0 and the sum starts
-    at l = 2, and it has at most base + 1 entries, so l <= base.  The
-    outer loop runs over l and keeps one column V_l[q] = C(base-l, q-l);
-    V_0 is ``_column(base, lo, hi)``.  As base - l >= 0, Pascal's rule
-    V_{l-1}[q] = V_l[q] + V_l[q+1] holds at every q, so V_l is filled
-    from the top down, V_l[q] = V_{l-1}[q] - V_l[q+1], from one
-    ``math.comb`` at q = hi-1.  Below q = l, V_l is 0.
+    ``coeffs`` comes from ``_lift``, so coeffs[1] = 0, and it has at most
+    base + 1 entries, so l <= base.  Terms with l >= hi vanish, so l runs
+    to top = min(len(coeffs), hi) - 1.  As C(base-l, q-l) is the
+    coefficient of t^q in t^l (1+t)^(base-l), the sums are the
+    coefficients of t (1+t)^(base-top) H(t), where
+    H = sum_l coeffs[l] t^(l-1) (1+t)^(top-l).
+
+    H comes first, by Horner's rule over (1 + t) on one packed integer
+    (Kronecker substitution).  Slot r of ``packed``, its bits
+    [r k, (r+1) k), holds the coefficient of t^(top-1-r) in H, so
+    ``packed`` is sum_l coeffs[l] (1 + 2^k)^(top-l), and each step
+    packed (1 + 2^k) + coeffs[l] is Pascal's rule on every slot at once.
+    No slot's value reaches sum|coeffs[l]| 2^(top-1) in size, so
+    k = bit_length(sum|coeffs[l]|) + top + a sign bit, rounded up to
+    whole bytes, holds each one.  Half a slot added to every slot makes
+    them all non-negative, and they are then the byte runs of one
+    ``to_bytes``.  The row (1+t)^(base-top), whose exponent is the
+    block's number of single edges, comes last, by one convolution with
+    its binomial column: each entry of the shorter factor scales the
+    longer one.
     """
-    width = hi - lo
-    lead = prev = _column(base, lo, hi)
-    sums = [0] * width
-    for l in range(1, min(len(coeffs), hi)):
-        c = coeffs[l]
-        col = [0] * width
-        value = binomial(base - l, hi - 1 - l)
-        for idx in range(width - 1, max(l, lo) - lo - 1, -1):
-            col[idx] = value
-            if c:
-                sums[idx] += c * value
-            value = prev[idx - 1] - value  # unused after idx = 0
-        prev = col
+    lead = _column(base, lo, hi)
+    top = min(len(coeffs), hi) - 1
+    sums = [0] * (hi - lo)
+    if top < 1:
+        return lead, sums
+    size = (sum(map(abs, coeffs[1 : top + 1])).bit_length() + top + 8) // 8
+    k = 8 * size
+    packed = 0
+    for l in range(1, top + 1):
+        packed += (packed << k) + coeffs[l]
+    half = 1 << k - 1
+    halves = int.from_bytes(half.to_bytes(size, "little") * top, "little")
+    raw = (packed + halves).to_bytes(size * top, "little")
+    h = [int.from_bytes(raw[i - size : i], "little") - half for i in range(size * top, 0, -size)]
+
+    # the sum at q is the coefficient of t^(q-1) in (1+t)^(base-top) H(t)
+    short, long = sorted((h, _column(base - top, 0, base - top + 1)), key=len)
+    poly = [0] * base
+    for i, c in enumerate(short):
+        poly[i : i + len(long)] = [p + c * x for p, x in zip(poly[i : i + len(long)], long)]
+    first, last = max(lo, 1), min(hi, base + 1)
+    sums[first - lo : last - lo] = poly[first - 1 : last - 1]
     return lead, sums
 
 
@@ -171,12 +197,14 @@ def closed_form_terms(layout: UnicyclicLayout) -> list[int]:
     least two copies from one parallel class.  The paper writes each
     block as sum_j w_j sum_{l>=j} (-1)^(l-j) C(top-j, l-j) C(N-l, k-l);
     here the j and l sums are swapped, so the weights w_j and their lift
-    to coefficients c_l (``_lift``) do not depend on i.  Then the l and i
-    loops are swapped too: the outer loop over l walks the binomial
-    column C(N-l, k-l) over every k by Pascal's rule (``_pascal_sums``),
-    so a pass makes one ``math.comb`` per column, not one per (i, l)
-    pair.  This is the same finite sum reordered, with no binomial
-    identity applied beyond the recurrences that produce its binomials.
+    to coefficients c_l (``_lift``) do not depend on i.  Then the l sum
+    is taken for every k at once (``_pascal_sums``): C(N-l, k-l) is the
+    coefficient of t^k in t^l (1+t)^(N-l), so a block is one polynomial,
+    built by Horner's rule over (1 + t) on one packed integer and then
+    multiplied by the row of the block's single edges.  A pass makes at
+    most three ``math.comb`` calls per block, not one per (i, l) pair.
+    This is the same finite sum reordered, with no binomial identity
+    applied beyond the recurrences that produce its binomials.
     Empty sums are 0, empty products 1, and out-of-range binomials
     vanish, so degenerate layouts collapse correctly.  Terms beyond the
     dimension must all be 0.

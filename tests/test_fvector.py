@@ -3,7 +3,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spancomplex import (
@@ -22,6 +22,7 @@ from spancomplex import fvector, kernels
 from spancomplex.fvector import (
     FVector,
     _elementary_symmetric,
+    _pascal_sums,
     closed_form_tail,
     closed_form_terms,
 )
@@ -237,8 +238,32 @@ def test_closed_form_makes_one_fresh_binomial_per_column(monkeypatch):
     monkeypatch.setattr(fvector.math, "comb", counting)
     fvector._terms.cache_clear()
     assert closed_form_terms(lay) == expected
-    # O(alpha + beta) columns; one math.comb per (i, l) pair would be ~45,000
-    assert 0 < len(calls) <= 2 * (lay.alpha + lay.beta + 2)
+    # at most three columns per block, each from one math.comb: the weights'
+    # C(top, j), C(N, q), and the row of the block's single edges; one
+    # math.comb per (i, l) pair would be ~45,000
+    assert 0 < len(calls) <= 6
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(base=60, lo=1, width=61, coeffs=[2**300] * 61, sign=1)
+@example(base=40, lo=-4, width=45, coeffs=[1] * 41, sign=-1)
+@given(
+    base=st.integers(0, 60),
+    lo=st.sampled_from([1] + [1 - m for m in range(3, 9)]),
+    width=st.integers(0, 70),
+    coeffs=st.lists(st.integers(-(2**300), 2**300), max_size=61),
+    sign=st.sampled_from([None, 1, -1]),
+)
+def test_pascal_sums_equal_the_literal_sums(base, lo, width, coeffs, sign):
+    # ``sign`` gives every coefficient one sign, so the packed slots fill up
+    coeffs = [c if sign is None else sign * abs(c) for c in coeffs[: base + 1]]
+    hi = lo + width
+    lead, sums = _pascal_sums(base, coeffs, lo, hi)
+    assert lead == [binomial(base, q) for q in range(lo, hi)]
+    assert sums == [
+        sum(c * binomial(base - l, q - l) for l, c in enumerate(coeffs) if l >= 1)
+        for q in range(lo, hi)
+    ]
 
 
 def _count_lifts(monkeypatch):
@@ -349,6 +374,7 @@ def test_swapped_sums_equal_paper_order_at_n60(cycle_sizes, outside_sizes, penda
         ([1] * 30 + [4] * 10, (5, 5, 4, 3, 2, 2, 3), 12),
         ([2] * 12 + [1] * 3, (2,) * 25, 30),
         ([3] * 200, (), 0),
+        ([3] * 400, (), 0),
         ([2, 2, 2], (), 3000),
         ([2, 3, 1, 1, 4] * 4, (2, 3, 4, 5) * 5, 888),
     ],
@@ -358,6 +384,7 @@ def test_swapped_sums_equal_paper_order_at_n60(cycle_sizes, outside_sizes, penda
         "mixed-106",
         "mixed-107",
         "fat-cycle-600",
+        "fat-cycle-1200",
         "pendant-heavy-3006",
         "mixed-1002",
     ],

@@ -148,6 +148,13 @@ def test_bridge_class_check_rejects_non_bridge_classes():
     dropped = re.escape("[['b0_0'], ['b1_0', 'b1_1'], ['b2_0']] leave 3 components, not 4")
     with pytest.raises(AssertionError, match=f"^{dropped}$"):
         check(["b0_0"], *bridges[1:])
+    # split over two sets, the class is still deleted whole, but neither
+    # half is a bond on its own
+    split = re.escape(
+        "[['b0_0'], ['b0_1'], ['b1_0', 'b1_1'], ['b2_0']] leave 4 components, not 5"
+    )
+    with pytest.raises(AssertionError, match=f"^{split}$"):
+        check(["b0_0"], ["b0_1"], *bridges[1:])
     # deleting both leaves two components, but c1_0 is redundant: not one class
     with pytest.raises(AssertionError, match=re.escape("['b2_0', 'c1_0'] is not one parallel class")):
         check(["b2_0", "c1_0"])
